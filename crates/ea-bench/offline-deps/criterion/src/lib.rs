@@ -1,0 +1,2 @@
+//! Offline stand-in for `criterion`: present so the workspace's dependency
+//! graph resolves without a registry. Nothing `ea-bench` builds calls it.
