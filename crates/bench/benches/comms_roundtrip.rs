@@ -1,13 +1,10 @@
-//! Criterion benchmarks of one transport round-trip (Step ❷ reference
-//! pull) over the loopback and TCP backends, at a payload comparable to
-//! one analogue-model stage. The gap between the two is the cost of
-//! framing + CRC + kernel TCP on the elastic exchange path.
+//! Criterion benchmark of one transport round-trip (Step ❷ reference
+//! pull) over TCP against the reactor, at a payload comparable to one
+//! analogue-model stage: framing + CRC + kernel TCP + the server core.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ea_comms::{
-    loopback_endpoint, Listener, RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig,
-    TcpServer, TcpTransport,
-};
+use ea_comms::reactor::ReactorConfig;
+use ea_comms::{RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpTransport};
 use ea_runtime::RefShardServer;
 use std::sync::Arc;
 
@@ -18,29 +15,13 @@ fn reference() -> Vec<Vec<f32>> {
     vec![(0..PARAMS).map(|i| (i as f32 * 0.37).sin()).collect()]
 }
 
-fn bench_loopback_pull(c: &mut Criterion) {
-    let server = RefShardServer::from_initial_weights(reference(), 1);
-    let (hub, mut listener) = loopback_endpoint();
-    let conn = hub.connect().unwrap();
-    let _serve = server.spawn_conn(listener.accept().unwrap());
-    let client = ShardClient::handshake(Box::new(conn), 0, RetryConfig::default()).unwrap();
-    let channel = Arc::new(RemoteShards::new(vec![client]).unwrap());
-    c.bench_function("comms_roundtrip/loopback_pull_64k", |b| {
-        b.iter(|| {
-            let w = channel.pull(0, 0, 0).unwrap();
-            let probe = w[PARAMS / 2];
-            ea_tensor::pool::recycle(w);
-            std::hint::black_box(probe)
-        })
-    });
-}
-
 fn bench_tcp_pull(c: &mut Criterion) {
     let server = RefShardServer::from_initial_weights(reference(), 1);
-    let mut listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let conn = TcpTransport::connect(addr, TcpConfig::default()).unwrap();
-    let _serve = server.spawn_conn(listener.accept().unwrap());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let reactor = server
+        .serve_reactor(listener, ReactorConfig { threads: 1, ..ReactorConfig::default() })
+        .unwrap();
+    let conn = TcpTransport::connect(reactor.local_addr(), TcpConfig::default()).unwrap();
     let client = ShardClient::handshake(Box::new(conn), 0, RetryConfig::default()).unwrap();
     let channel = Arc::new(RemoteShards::new(vec![client]).unwrap());
     c.bench_function("comms_roundtrip/tcp_pull_64k", |b| {
@@ -53,5 +34,5 @@ fn bench_tcp_pull(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_loopback_pull, bench_tcp_pull);
+criterion_group!(benches, bench_tcp_pull);
 criterion_main!(benches);

@@ -1,8 +1,11 @@
-//! The simulated actors: shard servers and elastic workers.
+//! The simulated actors: shard servers, elastic workers and read-only
+//! weight subscribers.
 //!
 //! The server actor is a thin message pump around the **production**
-//! [`ShardServerCore`] — lease accounting, idempotent submits, quorum
-//! application, checkpoint capture all run the real code on virtual time.
+//! [`ShardServerCore`] — the same `on_message`/`on_disconnect`/
+//! `reap_tick`/`flush` the reactor adapter calls, so lease accounting,
+//! idempotent submits, quorum application, parked pulls, subscription
+//! pushes and checkpoint capture all run the real code on virtual time.
 //! The worker actor mirrors `ElasticWorker` + `SupervisedWorker` as an
 //! explicit state machine (connect → resync → pull → submit → …) driving
 //! the real wire messages and the real [`ErrorFeedback`], with synthetic
@@ -15,13 +18,13 @@
 //! teardown does in the real deployment.
 
 use crate::faults::RestartMode;
-use crate::oracle::weights_hash;
 use crate::sched::hash_f32;
+use crate::sched::SimTime;
 use crate::sim::{SimConfig, SimCtx};
 use crate::{Addr, Event, STimer, WTimer};
 use ea_comms::Message;
 use ea_optim::Codec;
-use ea_runtime::{ConnState, ErrorFeedback, RefCheckpoint, RefShard, ShardServerCore};
+use ea_runtime::{ConnKey, ErrorFeedback, RefCheckpoint, RefShard, ShardServerCore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,13 +50,12 @@ pub struct ServerActor {
     /// Incarnation: bumped on crash *and* on restart, so stale timer
     /// chains from a previous life never fire into the new one.
     inc: u64,
-    /// `None` while crashed.
+    /// `None` while crashed. All per-connection protocol state lives in
+    /// here; the actor only decides which generations are still open.
     core: Option<ShardServerCore>,
-    /// Per-connection protocol state, keyed by (worker, generation).
-    conns: BTreeMap<(usize, u64), ConnState>,
-    /// Highest generation seen per worker; lower generations are closed
+    /// Highest generation seen per peer; lower generations are closed
     /// sockets and their traffic is dropped.
-    latest_gen: BTreeMap<usize, u64>,
+    latest_gen: BTreeMap<Addr, u64>,
     /// The simulated disk: survives crashes. Tagged with the incarnation
     /// that captured it so the restore oracle can compare histories.
     disk: Option<(u64, RefCheckpoint)>,
@@ -61,22 +63,11 @@ pub struct ServerActor {
 
 impl ServerActor {
     pub fn new(id: usize) -> Self {
-        ServerActor {
-            id,
-            inc: 0,
-            core: None,
-            conns: BTreeMap::new(),
-            latest_gen: BTreeMap::new(),
-            disk: None,
-        }
+        ServerActor { id, inc: 0, core: None, latest_gen: BTreeMap::new(), disk: None }
     }
 
     pub fn core(&self) -> Option<&ShardServerCore> {
         self.core.as_ref()
-    }
-
-    pub fn incarnation(&self) -> u64 {
-        self.inc
     }
 
     fn fresh_core(&self, cfg: &SimConfig) -> ShardServerCore {
@@ -89,7 +80,6 @@ impl ServerActor {
             cfg.n_workers,
             (base, cfg.n_shards()),
             Duration::from_nanos(cfg.lease_ns),
-            Duration::ZERO,
         )
     }
 
@@ -113,15 +103,10 @@ impl ServerActor {
     }
 
     pub fn crash(&mut self, ctx: &mut SimCtx) {
-        if self.core.is_none() {
-            return;
-        }
-        self.core = None;
+        let Some(core) = self.core.take() else { return };
         self.inc += 1; // kill timer chains
-        let conns: Vec<(usize, u64)> = self.conns.keys().copied().collect();
-        self.conns.clear();
-        for (w, gen) in conns {
-            ctx.conn_closed(Addr::Worker(w), Addr::Server(self.id), gen);
+        for (conn, _) in core.conns() {
+            ctx.conn_closed(Addr::of_conn(conn), Addr::Server(self.id), conn.id);
         }
         ctx.logf(format!("server {} CRASH", self.id));
     }
@@ -137,7 +122,6 @@ impl ServerActor {
                     ck,
                     ctx.cfg.n_workers,
                     Duration::from_nanos(ctx.cfg.lease_ns),
-                    Duration::ZERO,
                 );
                 ctx.oracle.check_restore(ctx.now, self.id, *from_inc, ck);
                 ctx.logf(format!(
@@ -168,8 +152,10 @@ impl ServerActor {
                     ctx.oracle.note_evictions(self.id, self.inc, &evicted);
                     ctx.logf(format!("server {} evicted pipes {evicted:?}", self.id));
                 }
-                let core = self.core.as_ref().expect("still up");
-                ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
+                // An eviction may have completed a stalled round degraded.
+                let mut out = Vec::new();
+                core.flush(&mut out);
+                self.audit_and_send(ctx, None, false, out);
                 ctx.at(ctx.cfg.reap_ns, Event::ServerTimer { server: self.id, inc, kind });
             }
             STimer::Checkpoint => {
@@ -183,90 +169,97 @@ impl ServerActor {
         }
     }
 
-    pub fn on_conn_closed(&mut self, ctx: &mut SimCtx, worker: usize, gen: u64) {
-        if self.conns.remove(&(worker, gen)).is_some() {
-            ctx.logf(format!("server {} closed conn to worker {worker} (gen {gen})", self.id));
-        }
+    pub fn on_conn_closed(&mut self, ctx: &mut SimCtx, peer: Addr, gen: u64) {
+        let Some(core) = self.core.as_mut() else { return };
+        core.on_disconnect(peer.conn_key(gen));
+        self.audit_and_send(ctx, None, false, Vec::new());
     }
 
-    pub fn on_deliver(&mut self, ctx: &mut SimCtx, worker: usize, gen: u64, msg: Message) {
-        let Some(core) = self.core.as_ref() else {
+    pub fn on_deliver(&mut self, ctx: &mut SimCtx, peer: Addr, gen: u64, msg: Message) {
+        let Some(core) = self.core.as_mut() else {
             // Connection refused: the host is down, the OS answers with a
             // reset.
-            ctx.conn_closed(Addr::Worker(worker), Addr::Server(self.id), gen);
+            ctx.conn_closed(peer, Addr::Server(self.id), gen);
             return;
         };
-        let newest = self.latest_gen.get(&worker).copied().unwrap_or(0);
+        let newest = self.latest_gen.get(&peer).copied().unwrap_or(0);
         if gen < newest {
             return; // closed socket, silently gone
         }
         if gen > newest {
-            self.latest_gen.insert(worker, gen);
-            self.conns.retain(|&(w, g), _| w != worker || g >= gen);
+            // The peer reconnected: its older sockets are gone.
+            self.latest_gen.insert(peer, gen);
+            let stale: Vec<ConnKey> = core
+                .conns()
+                .map(|(conn, _)| conn)
+                .filter(|&conn| Addr::of_conn(conn) == peer && conn.id < gen)
+                .collect();
+            for conn in stale {
+                core.on_disconnect(conn);
+            }
         }
-        let st = self.conns.entry((worker, gen)).or_default();
 
         // Decode a submission's payload the same way the server will, so
         // the oracle knows bitwise what the shard is being fed.
-        let submitted: Option<(u32, u64, u32, Vec<f32>)> = match &msg {
-            Message::SubmitDelta { shard, round, pipe, delta } => {
-                Some((*shard, *round, *pipe, delta.clone()))
-            }
-            Message::SubmitDeltaC { shard, round, pipe, codec, n, blob } => {
-                codec.decode(*n as usize, blob).ok().map(|delta| (*shard, *round, *pipe, delta))
-            }
+        let submitted: Option<Vec<f32>> = match &msg {
+            Message::SubmitDelta { delta, .. } => Some(delta.clone()),
+            Message::SubmitDeltaC { codec, n, blob, .. } => codec.decode(*n as usize, blob).ok(),
             _ => None,
         };
+        let snapshot = matches!(msg, Message::SubscribeWeights { .. });
 
+        let mut out = Vec::new();
+        let served = core.on_message(peer.conn_key(gen), msg, &mut out);
+        self.audit_and_send(ctx, submitted, snapshot, out);
+        if let Err(e) = served {
+            // Protocol violation: the core scrubbed the connection and
+            // left shard state untouched; the driver's part is the close.
+            ctx.logf(format!("server {} dropped conn to {peer:?} (gen {gen}): {e}", self.id));
+            ctx.conn_closed(peer, Addr::Server(self.id), gen);
+        }
+    }
+
+    /// Runs the oracles over the server's state and over every reply the
+    /// core emitted — whichever connection it is addressed to — then puts
+    /// the replies on the wire. `submitted` is the decoded delta of the
+    /// message just served, if it was a submission; `snapshot` says the
+    /// message was a `SubscribeWeights`, whose reply may repeat a version.
+    fn audit_and_send(
+        &self,
+        ctx: &mut SimCtx,
+        submitted: Option<Vec<f32>>,
+        snapshot: bool,
+        out: Vec<(ConnKey, Message)>,
+    ) {
+        let core = self.core.as_ref().expect("audited while up");
         let base = self.id * ctx.cfg.shards_per_server;
-        match core.serve_message(st, msg) {
-            Ok(reply) => {
-                if let Some(Message::Ack { shard, round, pipe, duplicate: false }) = &reply {
-                    if let Some((s, r, p, delta)) = submitted {
-                        debug_assert_eq!((s, r, p), (*shard, *round, *pipe));
-                        ctx.oracle.note_accepted_delta(
-                            ctx.now,
-                            self.id,
-                            self.inc,
-                            s as usize - base,
-                            r,
-                            p as usize,
-                            delta,
+        // The accepted delta must be on record before the replay audit.
+        if let (Some((_, Message::Ack { shard, round, pipe, duplicate: false })), Some(delta)) =
+            (out.first(), submitted)
+        {
+            let (local, pipe) = (*shard as usize - base, *pipe as usize);
+            ctx.oracle.note_accepted_delta(ctx.now, self.id, self.inc, local, *round, pipe, delta);
+        }
+        ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
+        ctx.oracle.check_resources(ctx.now, self.id, core, &self.latest_gen);
+        for (i, (conn, reply)) in out.into_iter().enumerate() {
+            match &reply {
+                Message::PullReply { shard, version, weights }
+                | Message::WeightsUpdate { shard, version, weights } => {
+                    let local = *shard as usize - base;
+                    ctx.oracle
+                        .check_weights_reply(ctx.now, self.id, self.inc, local, *version, weights);
+                    if matches!(reply, Message::WeightsUpdate { .. }) {
+                        // Only the direct reply to a (re)subscription may repeat.
+                        let repeat_ok = snapshot && i == 0;
+                        ctx.oracle.check_push_order(
+                            ctx.now, self.id, self.inc, conn, local, *version, repeat_ok,
                         );
                     }
                 }
-                let core = self.core.as_ref().expect("still up");
-                ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
-                match &reply {
-                    Some(Message::PullReply { shard, version, weights })
-                    | Some(Message::WeightsUpdate { shard, version, weights }) => {
-                        ctx.oracle.check_weights_reply(
-                            ctx.now,
-                            self.id,
-                            self.inc,
-                            *shard as usize - base,
-                            *version,
-                            weights,
-                        );
-                    }
-                    _ => {}
-                }
-                if let Some(reply) = reply {
-                    ctx.send(Addr::Server(self.id), Addr::Worker(worker), gen, reply);
-                }
+                _ => {}
             }
-            Err(e) => {
-                // Protocol violation: the real server drops the
-                // connection and leaves shard state untouched.
-                self.conns.remove(&(worker, gen));
-                let core = self.core.as_ref().expect("still up");
-                ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
-                ctx.logf(format!(
-                    "server {} dropped conn to worker {worker} (gen {gen}): {e}",
-                    self.id
-                ));
-                ctx.conn_closed(Addr::Worker(worker), Addr::Server(self.id), gen);
-            }
+            ctx.send(Addr::Server(self.id), Addr::of_conn(conn), conn.id, reply);
         }
     }
 }
@@ -591,12 +584,12 @@ impl WorkerActor {
                     self.enter_resync(ctx);
                 }
             }
-            Message::PullReply { shard, version, weights } => {
-                self.on_pull_reply(ctx, shard as usize, version, weights);
+            Message::PullReply { shard, version, .. } => {
+                self.on_pull_reply(ctx, shard as usize, version);
             }
             Message::PullReplyC { shard, version, codec, n, blob } => {
                 match codec.decode(n as usize, &blob) {
-                    Ok(weights) => self.on_pull_reply(ctx, shard as usize, version, weights),
+                    Ok(_) => self.on_pull_reply(ctx, shard as usize, version),
                     Err(e) => ctx.oracle.fail_liveness(
                         ctx.now,
                         format!("worker {} got undecodable PullReplyC: {e}", self.pipe),
@@ -628,10 +621,7 @@ impl WorkerActor {
         }
     }
 
-    fn on_pull_reply(&mut self, ctx: &mut SimCtx, shard: usize, version: u64, weights: Vec<f32>) {
-        // The weights fingerprint keeps the reply observable in the log
-        // without dumping vectors.
-        let _ = weights_hash(&weights);
+    fn on_pull_reply(&mut self, ctx: &mut SimCtx, shard: usize, version: u64) {
         match self.phase {
             Phase::Resync if self.resync_version[shard].is_none() => {
                 self.resync_version[shard] = Some(version);
@@ -657,6 +647,120 @@ impl WorkerActor {
                 // version < round: stale retransmitted reply, ignore.
             }
             _ => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Subscriber actor
+// ---------------------------------------------------------------------
+
+/// A read-only serving replica: subscribes to every shard of one server
+/// and listens for round-boundary pushes. It never says `Hello`, so it
+/// holds no lease and belongs to no quorum. It resubscribes on a fresh
+/// connection when the server closes the old one (a crash) and when it
+/// has heard nothing for a while (its own reconnect).
+pub struct SubscriberActor {
+    server: usize,
+    gen: u64,
+    /// Waiting out the reconnect backoff; nothing is sent meanwhile.
+    backoff: bool,
+    /// Newest version received per local shard on this connection.
+    seen: Vec<Option<u64>>,
+    last_heard: SimTime,
+    pushes: u64,
+}
+
+impl SubscriberActor {
+    pub fn new(cfg: &SimConfig, server: usize) -> Self {
+        SubscriberActor {
+            server,
+            gen: 0,
+            backoff: false,
+            seen: vec![None; cfg.shards_per_server],
+            last_heard: 0,
+            pushes: 0,
+        }
+    }
+
+    /// Weight-bearing messages received over the whole run.
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    fn me(&self) -> Addr {
+        Addr::Subscriber(self.server)
+    }
+
+    pub fn start(&mut self, ctx: &mut SimCtx) {
+        self.connect(ctx);
+        self.schedule(ctx, ctx.cfg.retransmit_ns, WTimer::Retransmit);
+    }
+
+    fn schedule(&self, ctx: &mut SimCtx, delay: u64, kind: WTimer) {
+        ctx.at(delay, Event::SubscriberTimer { sub: self.server, gen: self.gen, kind });
+    }
+
+    fn connect(&mut self, ctx: &mut SimCtx) {
+        self.gen += 1;
+        self.backoff = false;
+        self.seen.fill(None);
+        self.last_heard = ctx.now;
+        self.subscribe_missing(ctx);
+    }
+
+    fn subscribe_missing(&self, ctx: &mut SimCtx) {
+        let base = self.server * ctx.cfg.shards_per_server;
+        for (local, seen) in self.seen.iter().enumerate() {
+            if seen.is_none() {
+                let msg = Message::SubscribeWeights { shard: (base + local) as u32 };
+                ctx.send(self.me(), Addr::Server(self.server), self.gen, msg);
+            }
+        }
+    }
+
+    fn back_off(&mut self, ctx: &mut SimCtx, why: &str) {
+        ctx.logf(format!("subscriber {} reconnecting: {why}", self.server));
+        self.gen += 1; // retire the old connection immediately
+        self.backoff = true;
+        self.schedule(ctx, ctx.cfg.reconnect_backoff_ns, WTimer::Reconnect);
+    }
+
+    pub fn on_timer(&mut self, ctx: &mut SimCtx, gen: u64, kind: WTimer) {
+        match kind {
+            WTimer::Reconnect if self.backoff && gen == self.gen => self.connect(ctx),
+            WTimer::Retransmit => {
+                if !self.backoff {
+                    if ctx.now - self.last_heard > 4 * ctx.cfg.retransmit_ns {
+                        // Closing our own socket: the server hears about it.
+                        ctx.conn_closed(Addr::Server(self.server), self.me(), self.gen);
+                        self.back_off(ctx, "silence");
+                    } else {
+                        self.subscribe_missing(ctx);
+                    }
+                }
+                self.schedule(ctx, ctx.cfg.retransmit_ns, kind);
+            }
+            _ => {}
+        }
+    }
+
+    pub fn on_conn_closed(&mut self, ctx: &mut SimCtx, gen: u64) {
+        if gen == self.gen && !self.backoff {
+            self.back_off(ctx, "connection closed by server");
+        }
+    }
+
+    pub fn on_deliver(&mut self, ctx: &mut SimCtx, gen: u64, msg: Message) {
+        if gen != self.gen {
+            return;
+        }
+        if let Message::WeightsUpdate { shard, version, .. } = msg {
+            let local = shard as usize - self.server * ctx.cfg.shards_per_server;
+            // The link reorders and duplicates; keep the newest.
+            self.seen[local] = self.seen[local].max(Some(version));
+            self.last_heard = ctx.now;
+            self.pushes += 1;
         }
     }
 }

@@ -25,12 +25,18 @@
 //! * **Error-feedback conservation** — a lossy worker's rounded deltas
 //!   must be codec-idempotent (the server decodes exactly what the
 //!   worker accounted for) with finite bounded residuals.
+//! * **Resource bounds** — parked pulls ≤ open connections × owned
+//!   shards, and neither they nor subscriptions name a closed connection.
+//! * **Subscriptions** — pushed versions strictly increase per
+//!   `(connection, shard)` (a snapshot reply may repeat one), and a
+//!   subscriber never holds a pipeline id, hence no lease and no quorum.
 //!
 //! A violation records a message; the run stops and reports it together
 //! with the seed and event log.
 
 use crate::sched::SimTime;
-use ea_runtime::ShardServerCore;
+use crate::Addr;
+use ea_runtime::{ConnKey, ShardServerCore};
 use std::collections::BTreeMap;
 
 /// FNV-1a over the f32 bit patterns: bitwise weight fingerprints.
@@ -68,6 +74,10 @@ pub struct Oracle {
     deltas: BTreeMap<DeltaKey, (u64, Vec<f32>)>,
     /// Evictions per (server, incarnation, pipe).
     evictions: BTreeMap<(usize, u64, usize), u64>,
+    /// Last version sent per (server, incarnation, connection, local
+    /// shard) subscription.
+    pushed: BTreeMap<(usize, u64, ConnKey, usize), u64>,
+    parked_peak: usize,
     violations: Vec<String>,
 }
 
@@ -343,6 +353,76 @@ impl Oracle {
                      which the oracle never saw complete"
                 ),
             ),
+        }
+    }
+
+    /// Most pulls any one server held parked at once.
+    pub fn parked_peak(&self) -> usize {
+        self.parked_peak
+    }
+
+    /// Audits the per-connection state of a live server against
+    /// `latest_gen`, the newest connection generation the server has seen
+    /// from each peer — every older one is a closed socket.
+    pub fn check_resources(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        core: &ShardServerCore,
+        latest_gen: &BTreeMap<Addr, u64>,
+    ) {
+        let open: BTreeMap<ConnKey, Option<usize>> = core.conns().collect();
+        let name = |c: ConnKey| format!("{:?} gen {}", Addr::of_conn(c), c.id);
+        let (parked, shards) = (core.parked().len(), core.shards().len());
+        self.parked_peak = self.parked_peak.max(parked);
+        let mut broken = Vec::new();
+        if parked > open.len() * shards {
+            broken.push(format!(
+                "{parked} parked pulls over {} open connections x {shards} shards",
+                open.len()
+            ));
+        }
+        for (&conn, &pipe) in &open {
+            let peer = Addr::of_conn(conn);
+            if latest_gen.get(&peer) != Some(&conn.id) {
+                broken.push(format!("keeps state for closed connection {}", name(conn)));
+            }
+            if matches!(peer, Addr::Subscriber(_)) && pipe.is_some() {
+                broken.push(format!("{peer:?} holds pipeline id {pipe:?} and with it a lease"));
+            }
+        }
+        let waiting = core.parked().map(|(conn, ..)| conn).chain(core.subscriptions().map(|s| s.0));
+        for conn in waiting.filter(|conn| !open.contains_key(conn)) {
+            broken.push(format!("a parked pull or subscription names closed {}", name(conn)));
+        }
+        for what in broken {
+            self.fail(now, format!("resource bound: server {server} {what}"));
+        }
+    }
+
+    /// A `WeightsUpdate` left a server on a subscription: versions must
+    /// strictly increase per (connection, shard), except that the direct
+    /// reply to a (re)subscription may repeat the last one sent.
+    #[allow(clippy::too_many_arguments)]
+    pub fn check_push_order(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        inc: u64,
+        conn: ConnKey,
+        shard: usize,
+        version: u64,
+        snapshot: bool,
+    ) {
+        let last = self.pushed.insert((server, inc, conn, shard), version);
+        if last.is_some_and(|last| version < last || (version == last && !snapshot)) {
+            self.fail(
+                now,
+                format!(
+                    "push order: server {server} shard {shard} sent version {version} after \
+                     {last:?} on one subscription"
+                ),
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! The simulation driver: wires actors, network, fault plan, and oracle
 //! together under one virtual clock and runs the event loop to completion.
 
-use crate::actors::{ServerActor, WorkerActor};
+use crate::actors::{ServerActor, SubscriberActor, WorkerActor};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::net::{NetConfig, NetStats, SimNet};
 use crate::oracle::Oracle;
@@ -130,6 +130,10 @@ pub struct SimReport {
     /// vec for a server that ended the run crashed).
     pub final_weights: Vec<Vec<Vec<f32>>>,
     pub worker_rounds: Vec<u64>,
+    /// Most pulls any one server held parked at once.
+    pub parked_peak: usize,
+    /// Weight-bearing messages each server's subscriber received.
+    pub subscriber_pushes: Vec<u64>,
     pub events: u64,
     pub end_ns: SimTime,
     pub net_stats: NetStats,
@@ -144,6 +148,8 @@ pub fn run_sim(cfg: &SimConfig, plan: &FaultPlan) -> SimReport {
     let mut servers: Vec<ServerActor> = (0..cfg.n_servers).map(ServerActor::new).collect();
     let mut workers: Vec<WorkerActor> =
         (0..cfg.n_workers).map(|w| WorkerActor::new(cfg, w)).collect();
+    let mut subscribers: Vec<SubscriberActor> =
+        (0..cfg.n_servers).map(|k| SubscriberActor::new(cfg, k)).collect();
     let mut net = SimNet::new(cfg.seed, cfg.net.clone());
     let mut queue: EventQueue<Event> = EventQueue::new();
     let mut oracle = Oracle::new();
@@ -184,6 +190,9 @@ pub fn run_sim(cfg: &SimConfig, plan: &FaultPlan) -> SimReport {
         for w in &mut workers {
             w.start(&mut ctx);
         }
+        for sub in &mut subscribers {
+            sub.start(&mut ctx);
+        }
     }
 
     let mut events = 0u64;
@@ -211,11 +220,14 @@ pub fn run_sim(cfg: &SimConfig, plan: &FaultPlan) -> SimReport {
             log: &mut log,
         };
         match ev {
-            Event::Deliver { from: Addr::Worker(w), to: Addr::Server(k), gen, msg } => {
-                servers[k].on_deliver(&mut ctx, w, gen, msg);
+            Event::Deliver { from, to: Addr::Server(k), gen, msg } => {
+                servers[k].on_deliver(&mut ctx, from, gen, msg);
             }
             Event::Deliver { from: Addr::Server(k), to: Addr::Worker(w), gen, msg } => {
                 workers[w].on_deliver(&mut ctx, k, gen, msg);
+            }
+            Event::Deliver { to: Addr::Subscriber(j), gen, msg, .. } => {
+                subscribers[j].on_deliver(&mut ctx, gen, msg);
             }
             Event::Deliver { from, to, .. } => {
                 unreachable!("no {from:?}->{to:?} links in this topology")
@@ -223,17 +235,20 @@ pub fn run_sim(cfg: &SimConfig, plan: &FaultPlan) -> SimReport {
             Event::ConnClosed { to: Addr::Worker(w), gen, .. } => {
                 workers[w].on_conn_closed(&mut ctx, gen);
             }
-            Event::ConnClosed { to: Addr::Server(k), peer: Addr::Worker(w), gen } => {
-                servers[k].on_conn_closed(&mut ctx, w, gen);
+            Event::ConnClosed { to: Addr::Subscriber(j), gen, .. } => {
+                subscribers[j].on_conn_closed(&mut ctx, gen);
             }
-            Event::ConnClosed { to, peer, .. } => {
-                unreachable!("no {peer:?}->{to:?} connections in this topology")
+            Event::ConnClosed { to: Addr::Server(k), peer, gen } => {
+                servers[k].on_conn_closed(&mut ctx, peer, gen);
             }
             Event::WorkerTimer { worker, inc, kind } => {
                 workers[worker].on_timer(&mut ctx, inc, kind);
             }
             Event::ServerTimer { server, inc, kind } => {
                 servers[server].on_timer(&mut ctx, inc, kind);
+            }
+            Event::SubscriberTimer { sub, gen, kind } => {
+                subscribers[sub].on_timer(&mut ctx, gen, kind);
             }
             Event::CrashServer { server } => servers[server].crash(&mut ctx),
             Event::RestartServer { server, mode } => servers[server].restart(&mut ctx, mode),
@@ -260,6 +275,18 @@ pub fn run_sim(cfg: &SimConfig, plan: &FaultPlan) -> SimReport {
             end_ns,
             format!("horizon expired with workers at rounds {rounds:?} of {}", cfg.target_rounds),
         );
+    } else if oracle.ok() {
+        // Every worker got every reply it waited for, so nothing may be
+        // left waiting on a server.
+        for (k, server) in servers.iter().enumerate() {
+            let parked = server.core().map_or(0, |core| core.parked().len());
+            if parked > 0 {
+                oracle.fail_liveness(
+                    end_ns,
+                    format!("server {k} ended the run with {parked} parked pulls unanswered"),
+                );
+            }
+        }
     }
 
     let final_weights = servers
@@ -277,6 +304,8 @@ pub fn run_sim(cfg: &SimConfig, plan: &FaultPlan) -> SimReport {
         log,
         final_weights,
         worker_rounds: workers.iter().map(|w| w.rounds()).collect(),
+        parked_peak: oracle.parked_peak(),
+        subscriber_pushes: subscribers.iter().map(|sub| sub.pushes()).collect(),
         events,
         end_ns,
         net_stats: net.stats,

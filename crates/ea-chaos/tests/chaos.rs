@@ -163,3 +163,50 @@ fn checkpoint_restart_converges() {
         "scenario never exercised the checkpoint-restore path"
     );
 }
+
+/// The simulated servers run the production park/complete/publish code:
+/// pulls for incomplete rounds really park, and every server's read-only
+/// subscriber really receives round-boundary pushes.
+#[test]
+fn parking_and_subscriptions_are_live_under_simulation() {
+    // Jittery, lossy links and no scheduled faults: workers drift apart,
+    // so the fast ones park on the slow ones' rounds.
+    let cfg = SimConfig { seed: 3, ..SimConfig::default() };
+    let report = run_sim(&cfg, &FaultPlan::default());
+    assert!(report.ok, "violations: {:?}\nlog tail: {:?}", report.violations, log_tail(&report));
+    assert!(report.parked_peak >= 1, "no pull ever parked");
+    assert_eq!(report.subscriber_pushes.len(), cfg.n_servers);
+    for (k, &pushes) in report.subscriber_pushes.iter().enumerate() {
+        // A snapshot per shard and then pushes, 8% of which the links eat.
+        let floor = cfg.target_rounds / 2 * cfg.shards_per_server as u64;
+        assert!(pushes >= floor, "subscriber {k} got {pushes} pushes, expected >= {floor}");
+    }
+}
+
+/// One worker retransmits the same pull 50+ times against a round stalled
+/// on a crashed peer: the retransmissions replace each other, so the one
+/// server never holds more than one parked pull.
+#[test]
+fn retransmitted_pulls_against_a_stalled_round_park_once() {
+    let cfg = SimConfig {
+        seed: 8,
+        n_servers: 1,
+        shards_per_server: 1,
+        n_workers: 2,
+        target_rounds: 3,
+        lease_ns: 60_000_000_000, // nobody is evicted: the round really stalls
+        net: NetConfig { quiesce_ns: 0, ..NetConfig::default() },
+        ..SimConfig::default()
+    };
+    let down_ns = 60 * cfg.retransmit_ns;
+    let plan = FaultPlan {
+        events: vec![FaultEvent {
+            at_ns: 500_000, // before its first message lands
+            kind: FaultKind::WorkerCrash { worker: 1, down_ns },
+        }],
+    };
+    let report = run_sim(&cfg, &plan);
+    assert!(report.ok, "violations: {:?}\nlog tail: {:?}", report.violations, log_tail(&report));
+    assert!(report.end_ns > down_ns, "the survivor did not wait out the outage");
+    assert_eq!(report.parked_peak, 1, "retransmitted pulls stacked up");
+}

@@ -25,7 +25,7 @@ fn exchange(
 ) -> (u64, u64, u64) {
     // Jitter: usually tens of µs, with a 5% chance of a spike in the
     // milliseconds — the samples the min-RTT filter exists to reject.
-    let mut jitter = |r: &mut SplitMix64| -> u64 {
+    let jitter = |r: &mut SplitMix64| -> u64 {
         if r.next_f64() < 0.05 {
             2_000 + r.below(20_000)
         } else {

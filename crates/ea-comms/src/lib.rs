@@ -5,12 +5,11 @@
 //! model in *separate processes*, shipping local updates asynchronously.
 //! This crate supplies the missing communication substrate:
 //!
-//! * [`Transport`] / [`Listener`] — one ordered, message-framed,
-//!   bidirectional connection per pipeline, behind a trait so backends are
-//!   configuration, not architecture.
-//! * [`loopback`] — in-process channels, zero serialization: messages move
-//!   buffers by ownership, preserving the `ea_tensor::pool` zero-copy
-//!   discipline end to end.
+//! * [`Transport`] — the client's end of one ordered, message-framed,
+//!   bidirectional connection, behind a trait so the fault-injection shim
+//!   composes over any backend.
+//! * [`loopback`] — an in-process connected pair, zero serialization, for
+//!   client and fault-shim unit tests.
 //! * [`tcp`] — length-prefixed binary frames (versioned header, CRC32
 //!   payload check) over `std::net`, with connect/read timeouts, bounded
 //!   exponential-backoff connect retry, and per-connection
@@ -27,8 +26,8 @@
 //!   multiplexing every accepted connection across a small set of
 //!   threads, with incremental zero-copy frame assembly into pooled
 //!   buffers, write-side backpressure with slow-consumer eviction, and
-//!   idle-timeout reaping. The client side is untouched — the reactor
-//!   speaks the same `frame` + `wire` protocol.
+//!   idle-timeout reaping. It is the only server-side accept path and
+//!   speaks the same `frame` + `wire` protocol as the clients.
 //! * [`client`] — [`ShardClient`] (request/reply with bounded retry) and
 //!   the [`ShardChannel`] abstraction the trainer runs against;
 //!   `ea-runtime` provides the in-process implementation
@@ -58,14 +57,12 @@ pub use clock::{Clock, ClockGuard, OffsetEstimator, Waiter};
 pub use ea_optim::Codec;
 pub use fault::{ChaosConfig, FaultConfig, FaultStats, FaultyTransport};
 pub use frame::{crc32, FrameError, PROTO_VERSION};
-pub use loopback::{
-    loopback_endpoint, loopback_pair, LoopbackHub, LoopbackListener, LoopbackTransport,
-};
+pub use loopback::{loopback_pair, LoopbackTransport};
 pub use reactor::{
     ConnId, DisconnectReason, Outbox, Reactor, ReactorConfig, ReactorHandler, ReactorWaker,
 };
-pub use tcp::{TcpConfig, TcpServer, TcpTransport};
-pub use transport::{CommsError, Listener, Transport, TransportStats};
+pub use tcp::{TcpConfig, TcpTransport};
+pub use transport::{CommsError, Transport, TransportStats};
 pub use wire::Message;
 
 /// Takes an empty pooled byte buffer with capacity ≥ `cap` for building a

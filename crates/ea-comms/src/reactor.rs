@@ -1,12 +1,11 @@
 //! Non-blocking event-loop server core: connection multiplexing for
 //! thousand-worker fan-in.
 //!
-//! The thread-per-connection server in `ea-runtime` is simple and correct,
-//! but at large pipeline counts its costs are all in the wrong place: one
-//! OS thread (stack, scheduler slot, context switches) per mostly-idle
-//! worker, and a wake-per-message handoff between the socket and the
-//! shard state. This module replaces only the *server* side with a small
-//! reactor:
+//! A thread per connection puts every cost in the wrong place at large
+//! pipeline counts: one OS thread (stack, scheduler slot, context
+//! switches) per mostly-idle worker, and a wake-per-message handoff
+//! between the socket and the shard state. The *server* side is therefore
+//! a small reactor, and the only accept path there is:
 //!
 //! * `N` event-loop threads (`ReactorConfig::threads`, or the
 //!   `EA_COMMS_THREADS` environment variable) each own an epoll instance
@@ -78,12 +77,18 @@ impl ConnId {
         )
     }
 
-    /// An id from a raw `u64`, for tagging requests *outside* a reactor
-    /// (an embedder's direct-submit path, unit tests). Raw ids share the
-    /// packed namespace with reactor-issued ones, so never feed one back
-    /// into an [`Outbox`] — use it only as an opaque correlation key.
+    /// An id from a raw `u64`: either the round trip of [`ConnId::raw`]
+    /// (a handler that keys its own state by the packed value), or a tag
+    /// for requests *outside* a reactor (an embedder's direct-submit path,
+    /// unit tests). Invented ids share the packed namespace with
+    /// reactor-issued ones, so never feed one of those into an [`Outbox`].
     pub fn from_raw(raw: u64) -> ConnId {
         ConnId(raw)
+    }
+
+    /// The packed value, for handlers that key state outside the reactor.
+    pub fn raw(self) -> u64 {
+        self.0
     }
 
     pub(crate) fn thread(self) -> usize {
@@ -222,8 +227,7 @@ pub struct ReactorConfig {
     /// Clamped to 64.
     pub threads: usize,
     /// Drop connections with no complete inbound message for this long.
-    /// `None` disables idle reaping (connections park indefinitely, as
-    /// the blocking server allows).
+    /// `None` disables idle reaping (connections park indefinitely).
     pub idle_timeout: Option<Duration>,
     /// Slow-consumer bound: a connection whose encoded-but-unsent bytes
     /// exceed this is evicted.

@@ -8,9 +8,9 @@
 //! Nagle batching only adds round latency.
 
 use crate::frame::{read_frame, write_frame};
-use crate::transport::{CommsError, Listener, Transport, TransportStats};
+use crate::transport::{CommsError, Transport, TransportStats};
 use crate::wire::Message;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Connection-establishment and stream-timeout policy.
@@ -183,43 +183,18 @@ impl Transport for TcpTransport {
     }
 }
 
-/// TCP server endpoint: accepts one framed connection per pipeline.
-pub struct TcpServer {
-    listener: TcpListener,
-    cfg: TcpConfig,
-}
-
-impl TcpServer {
-    /// Binds to `addr` (use port 0 for an ephemeral port, then
-    /// [`TcpServer::local_addr`]).
-    pub fn bind(addr: impl ToSocketAddrs, cfg: TcpConfig) -> std::io::Result<Self> {
-        Ok(TcpServer { listener: TcpListener::bind(addr)?, cfg })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-}
-
-impl Listener for TcpServer {
-    fn accept(&mut self) -> Result<Box<dyn Transport>, CommsError> {
-        let (stream, _peer) = self.listener.accept().map_err(CommsError::Io)?;
-        Ok(Box::new(TcpTransport::from_stream(stream, self.cfg)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
-    fn pair() -> (TcpTransport, Box<dyn Transport>) {
-        let mut server = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-        let addr = server.local_addr().unwrap();
+    fn pair() -> (TcpTransport, TcpTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let client =
             TcpTransport::connect(addr, TcpConfig::default()).expect("connect to local listener");
-        let conn = server.accept().unwrap();
-        (client, conn)
+        let (stream, _) = listener.accept().unwrap();
+        (client, TcpTransport::from_stream(stream, TcpConfig::default()).unwrap())
     }
 
     #[test]
@@ -281,10 +256,10 @@ mod tests {
 
     #[test]
     fn corrupt_stream_surfaces_frame_error_not_panic() {
-        let mut server = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-        let addr = server.local_addr().unwrap();
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let mut conn = server.accept().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = TcpTransport::from_stream(stream, TcpConfig::default()).unwrap();
         std::io::Write::write_all(&mut raw, b"garbage bytes, not a frame").unwrap();
         assert!(matches!(conn.recv(), Err(CommsError::Frame(_))));
     }

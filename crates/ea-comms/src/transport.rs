@@ -111,32 +111,3 @@ pub trait Transport: Send {
     /// Records one request retransmission in the counters.
     fn record_retry(&mut self);
 }
-
-impl Transport for Box<dyn Transport> {
-    fn send(&mut self, msg: Message) -> Result<(), CommsError> {
-        (**self).send(msg)
-    }
-
-    fn recv(&mut self) -> Result<Message, CommsError> {
-        (**self).recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, CommsError> {
-        (**self).recv_timeout(timeout)
-    }
-
-    fn stats(&self) -> TransportStats {
-        (**self).stats()
-    }
-
-    fn record_retry(&mut self) {
-        (**self).record_retry()
-    }
-}
-
-/// Server side of a transport backend: yields one [`Transport`] per
-/// connecting pipeline.
-pub trait Listener: Send {
-    /// Accepts the next connection.
-    fn accept(&mut self) -> Result<Box<dyn Transport>, CommsError>;
-}

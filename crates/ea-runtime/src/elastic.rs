@@ -14,14 +14,13 @@
 use crate::metrics::ServerMetrics;
 use crate::{Error, ThreadedPipeline};
 use ea_autograd::{Stage, StagedModel};
-use ea_comms::{clock, CommsError, QuorumInfo, ShardChannel};
+use ea_comms::{CommsError, QuorumInfo, ShardChannel};
 use ea_data::Batch;
 use ea_optim::Optimizer;
 use ea_trace::{Category, StaticName};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// How many per-round membership records a shard retains.
 const RECORD_CAP: usize = 1024;
@@ -414,24 +413,6 @@ impl RefShard {
             self.cv.wait(&mut st);
         }
         (st.version, st.weights.clone())
-    }
-
-    /// Bounded-wait variant of [`RefShard::weights_at_least`]: gives up
-    /// after `timeout` and returns `None`. Fault-tolerant servers use this
-    /// so a pull for a round stalled by a dead peer cannot pin a
-    /// connection thread forever — the client simply retransmits, which
-    /// doubles as lease renewal while the reaper completes the round.
-    pub fn weights_within(&self, version: u64, timeout: Duration) -> Option<(u64, Vec<f32>)> {
-        let deadline = clock::now() + timeout;
-        let mut st = self.state.lock();
-        while st.version < version {
-            let remaining = deadline.saturating_sub(clock::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            self.cv.wait_for(&mut st, remaining);
-        }
-        Some((st.version, st.weights.clone()))
     }
 
     /// Consistent `(version, weights)` snapshot under one lock hold.
@@ -1076,17 +1057,6 @@ mod tests {
         let (v, w) = waiter.join().unwrap();
         assert_eq!(v, 1);
         assert_eq!(w, vec![8.0]);
-    }
-
-    #[test]
-    fn weights_within_times_out_on_a_stalled_round() {
-        let shard = RefShard::new(vec![0.0; 2], 2);
-        assert_eq!(shard.weights_within(1, std::time::Duration::from_millis(20)), None);
-        shard.submit_at(0, 0, vec![2.0, 0.0]).unwrap();
-        shard.submit_at(0, 1, vec![0.0, 2.0]).unwrap();
-        let (v, w) = shard.weights_within(1, std::time::Duration::from_millis(20)).unwrap();
-        assert_eq!(v, 1);
-        assert_eq!(w, vec![1.0, 1.0]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use metrics::{
 };
 pub use reactor_server::ReactorDispatch;
 pub use semantic::{train_step, ElasticSemantic, StaleTrainer, SyncTrainer, Trainer};
-pub use server::{ConnState, ElasticWorker, FtConfig, RefShardServer, ShardServerCore};
+pub use server::{ConnKey, ElasticWorker, FtConfig, RefShardServer, ShardServerCore};
 pub use supervisor::{
     ChannelFactory, RoundReport, ShutdownHandle, SupervisedWorker, SupervisorConfig, WorkerMode,
 };

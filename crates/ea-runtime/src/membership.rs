@@ -1,18 +1,19 @@
 //! Lease-based liveness tracking for the reference-shard server.
 //!
 //! Every pipeline holds a *lease* renewed by any message it sends
-//! (heartbeats exist for workers with nothing else to say). The server's
-//! reaper thread periodically calls [`Membership::reap`]; a pipeline
-//! whose lease has lapsed is reported exactly once so the caller can
-//! evict it from the shard quorums. A message from a dead pipeline
+//! (heartbeats exist for workers with nothing else to say). The server
+//! core's reap tick calls [`Membership::reap`]; a pipeline whose lease
+//! has lapsed is reported exactly once so the caller can evict it from
+//! the shard quorums. A message from a dead pipeline
 //! revives it ([`Membership::join`]), which the caller turns into a
 //! shard-level readmission at the next round boundary.
 //!
 //! Timestamps come from [`ea_comms::clock`], so under the ea-chaos
-//! simulation leases expire on virtual time.
+//! simulation leases expire on virtual time. Single-owner: the table is
+//! part of [`ShardServerCore`](crate::ShardServerCore)'s state and takes
+//! no lock of its own.
 
 use ea_comms::clock;
-use parking_lot::Mutex;
 use std::time::Duration;
 
 struct Member {
@@ -24,39 +25,22 @@ struct Member {
 /// Liveness of the N pipelines, under one lease duration.
 pub struct Membership {
     lease: Duration,
-    state: Mutex<Vec<Member>>,
+    state: Vec<Member>,
 }
 
 impl Membership {
     /// All `n` pipelines start live, with fresh leases.
     pub fn new(n: usize, lease: Duration) -> Self {
         let now = clock::now();
-        Membership {
-            lease,
-            state: Mutex::new((0..n).map(|_| Member { last_beat: now, live: true }).collect()),
-        }
+        Membership { lease, state: (0..n).map(|_| Member { last_beat: now, live: true }).collect() }
     }
 
-    /// The configured lease duration.
-    pub fn lease(&self) -> Duration {
-        self.lease
-    }
-
-    /// Renews pipeline `pipe`'s lease (any received message counts).
-    /// Out-of-range pipes are ignored — the caller validates ids.
-    pub fn beat(&self, pipe: usize) {
-        let mut st = self.state.lock();
-        if let Some(m) = st.get_mut(pipe) {
-            m.last_beat = clock::now();
-        }
-    }
-
-    /// Marks `pipe` live with a fresh lease. Returns `true` when the pipe
-    /// was dead — i.e. this message is a *rejoin* the caller must mirror
+    /// Marks `pipe` live with a fresh lease (any received message counts;
+    /// out-of-range pipes are ignored). Returns `true` when the pipe was
+    /// dead — i.e. this message is a *rejoin* the caller must mirror
     /// into the shards.
-    pub fn join(&self, pipe: usize) -> bool {
-        let mut st = self.state.lock();
-        match st.get_mut(pipe) {
+    pub fn join(&mut self, pipe: usize) -> bool {
+        match self.state.get_mut(pipe) {
             Some(m) => {
                 let was_dead = !m.live;
                 m.live = true;
@@ -70,10 +54,9 @@ impl Membership {
     /// Expires lapsed leases as of `now` (a [`clock::now`] reading);
     /// returns the pipes that died in this pass (each reported once —
     /// already-dead members are skipped).
-    pub fn reap(&self, now: Duration) -> Vec<usize> {
-        let mut st = self.state.lock();
+    pub fn reap(&mut self, now: Duration) -> Vec<usize> {
         let mut dead = Vec::new();
-        for (i, m) in st.iter_mut().enumerate() {
+        for (i, m) in self.state.iter_mut().enumerate() {
             if m.live && now.saturating_sub(m.last_beat) > self.lease {
                 m.live = false;
                 dead.push(i);
@@ -84,21 +67,23 @@ impl Membership {
 
     /// Number of live members.
     pub fn live_count(&self) -> usize {
-        self.state.lock().iter().filter(|m| m.live).count()
+        self.state.iter().filter(|m| m.live).count()
     }
 
     /// Bitmask of live member ids (members ≥ 64 omitted from the mask).
     pub fn mask(&self) -> u64 {
-        let st = self.state.lock();
-        st.iter()
-            .take(64)
-            .enumerate()
-            .fold(0u64, |mask, (i, m)| if m.live { mask | (1 << i) } else { mask })
+        self.state.iter().take(64).enumerate().fold(0u64, |mask, (i, m)| {
+            if m.live {
+                mask | (1 << i)
+            } else {
+                mask
+            }
+        })
     }
 
     /// Whether `pipe` is currently live.
     pub fn is_live(&self, pipe: usize) -> bool {
-        self.state.lock().get(pipe).map(|m| m.live).unwrap_or(false)
+        self.state.get(pipe).is_some_and(|m| m.live)
     }
 }
 
@@ -117,8 +102,7 @@ mod tests {
 
     #[test]
     fn lapsed_lease_is_reaped_once() {
-        let m = Membership::new(2, Duration::from_millis(10));
-        m.beat(0);
+        let mut m = Membership::new(2, Duration::from_millis(10));
         let later = clock::now() + Duration::from_millis(50);
         assert_eq!(m.reap(later), vec![0, 1]);
         assert_eq!(m.live_count(), 0);
@@ -127,10 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn beat_keeps_a_member_alive() {
-        let m = Membership::new(2, Duration::from_millis(40));
+    fn a_renewed_lease_keeps_a_member_alive() {
+        let mut m = Membership::new(2, Duration::from_millis(40));
         std::thread::sleep(Duration::from_millis(20));
-        m.beat(0);
+        assert!(!m.join(0), "live → live is not a rejoin");
         std::thread::sleep(Duration::from_millis(25));
         // 0 beat 25ms ago (inside the lease); 1 last beat 45ms ago.
         assert_eq!(m.reap(clock::now()), vec![1]);
@@ -140,7 +124,7 @@ mod tests {
 
     #[test]
     fn join_revives_and_reports_the_transition() {
-        let m = Membership::new(2, Duration::from_millis(5));
+        let mut m = Membership::new(2, Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(15));
         assert_eq!(m.reap(clock::now()), vec![0, 1]);
         assert!(m.join(1), "dead → live is a rejoin");

@@ -1,323 +1,80 @@
-//! Reactor-backed serving path for [`RefShardServer`]: the same protocol
-//! logic as the thread-per-connection `serve_conn` loop, dispatched from
-//! the `ea-comms` epoll event loop.
+//! The production driver of [`ShardServerCore`]: a thin adapter from the
+//! `ea-comms` reactor's callbacks to the core's methods.
 //!
-//! Everything flows through the *same* [`handle`] function the blocking
-//! server uses, so the two paths cannot drift: idempotency keys, version
-//! echoes, membership touches, and error-to-metric mapping are shared
-//! code. The one behavior the event loop cannot reuse is the *blocking*
-//! reference pull (`weights_at_least` / `weights_within` park the calling
-//! thread until the round completes — deadly on a reactor thread that
-//! owns hundreds of other sockets). Those pulls are intercepted and
-//! **parked**: the request is recorded, the callback returns, and the
-//! reply is sent the moment a delta submission completes the round
-//! (checked inline after every submit, so no polling latency lands on the
-//! training critical path). In fault-tolerant mode a parked pull expires
-//! after `FtConfig::pull_wait`, exactly like the blocking server's
-//! `Ok(None)` — the client retransmits.
+//! All protocol logic — lease renewal, codec transcode, parking pulls for
+//! incomplete rounds, answering them when a submission completes the
+//! round, pushing round boundaries to weight subscribers — lives in
+//! `server.rs` and is the same code the `ea-chaos` simulator drives. This
+//! file only translates: reactor [`ConnId`] ↔ the core's opaque
+//! [`ConnKey`], the core's `(connection, reply)` pairs → the reactor's
+//! [`Outbox`], and the reactor's [`DisconnectReason`]s → server counters.
+//! Every callback takes the server's one lock for its duration; nothing
+//! here blocks while holding it.
 //!
 //! Byte-exactness: arrival *order* of deltas never affects results —
 //! [`RefShard`](crate::RefShard) folds a round's deltas in pipe order at
 //! completion time — so multiplexing thousands of workers onto a few
-//! event-loop threads yields bit-identical reference weights to the
-//! thread-per-connection server and to a single-process run.
+//! event-loop threads yields bit-identical reference weights to a
+//! single-process run.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use ea_comms::reactor::{ConnId, DisconnectReason, Outbox, Reactor, ReactorConfig, ReactorHandler};
 use ea_comms::wire::Message;
 use ea_comms::FrameError;
 use ea_trace::log_event;
+use parking_lot::Mutex;
 
-use crate::server::{
-    decode_request, encode_reply, handle, lookup, msg_pipe, touch, RefShardServer, ServerCtx,
-};
-use ea_comms::Codec;
+use crate::server::{ConnKey, RefShardServer, ShardServerCore};
 
-/// A blocking pull deferred until its round completes (or expires).
-struct Parked {
-    conn: ConnId,
-    shard: u32,
-    version: u64,
-    /// The connection's negotiated codec, captured at park time so the
-    /// deferred reply is transcoded exactly like an immediate one.
-    codec: Codec,
-    /// `Some` in fault-tolerant mode (`pull_wait` bound); `None` parks
-    /// until satisfied, matching the blocking `weights_at_least`.
-    deadline: Option<Instant>,
-    /// Arrival time, for the `ea_server_pull_us` histogram.
-    t0: Instant,
-}
-
-/// Per-connection protocol state: the last self-identified pipeline
-/// (lease renewal) and the delta codec its `Hello` negotiated.
-#[derive(Clone, Copy, Default)]
-struct ConnMeta {
-    pipe: Option<usize>,
-    codec: Codec,
-}
-
-/// [`ReactorHandler`] adapter around [`RefShardServer`]'s shared state.
+/// [`ReactorHandler`] adapter around a [`RefShardServer`]'s core.
 pub struct ReactorDispatch {
-    ctx: Arc<ServerCtx>,
-    /// Per-connection pipe/codec state.
-    conns: Mutex<HashMap<ConnId, ConnMeta>>,
-    parked: Mutex<Vec<Parked>>,
-    /// Lock-free fast path: `has_deferred` and the post-submit check skip
-    /// the `parked` lock entirely while nothing is parked.
-    parked_count: AtomicUsize,
-    /// Read-only weight subscribers (serving replicas): connection →
-    /// shard → last published version. Entirely outside the lease
-    /// machinery — a subscriber coming or going never affects quorum.
-    subs: Mutex<HashMap<ConnId, HashMap<u32, u64>>>,
-    /// Lock-free fast path mirroring `parked_count`, counting
-    /// subscribed connections.
-    subs_count: AtomicUsize,
+    core: Arc<Mutex<ShardServerCore>>,
+    /// This adapter's [`ConnKey::space`]: two reactors on one server number
+    /// their connections independently, so each gets its own.
+    space: u32,
 }
 
 impl ReactorDispatch {
-    pub(crate) fn new(ctx: Arc<ServerCtx>) -> ReactorDispatch {
-        ReactorDispatch {
-            ctx,
-            conns: Mutex::new(HashMap::new()),
-            parked: Mutex::new(Vec::new()),
-            parked_count: AtomicUsize::new(0),
-            subs: Mutex::new(HashMap::new()),
-            subs_count: AtomicUsize::new(0),
-        }
+    fn key(&self, conn: ConnId) -> ConnKey {
+        ConnKey { space: self.space, id: conn.raw() }
     }
 
-    /// Whether a pull for `(shard, version)` can be answered without
-    /// blocking (round already complete, or the latest-snapshot sentinel).
-    fn pull_ready(&self, shard: u32, version: u64) -> bool {
-        version == u64::MAX || lookup(&self.ctx, shard).map_or(true, |sh| sh.version() >= version)
-    }
-
-    /// Sends replies for every parked pull whose round has since
-    /// completed; expires overdue ones silently (client retransmits).
-    fn complete_parked(&self, out: &mut Outbox) {
-        if self.parked_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut parked = self.parked.lock().expect("parked list poisoned");
-        let now = Instant::now();
-        parked.retain(|p| {
-            let Ok(sh) = lookup(&self.ctx, p.shard) else {
-                return false;
-            };
-            if sh.version() >= p.version {
-                let (actual, weights) = sh.weights_at_least(p.version);
-                self.ctx.pull_us.record(p.t0.elapsed().as_micros() as u64);
-                let reply = Message::PullReply { shard: p.shard, version: actual, weights };
-                out.send(p.conn, encode_reply(reply, p.codec));
-                false
-            } else if p.deadline.is_some_and(|d| now >= d) {
-                // Bounded wait expired: drop the request, exactly the
-                // blocking server's `Ok(None)` — no reply is owed and the
-                // client's retry (which renewed its lease) asks again.
-                self.ctx.pull_us.record(p.t0.elapsed().as_micros() as u64);
-                false
-            } else {
-                true
-            }
-        });
-        self.parked_count.store(parked.len(), Ordering::Release);
-    }
-
-    /// Pushes a `WeightsUpdate` to every subscriber whose shard advanced
-    /// past its last published version — the round-boundary hot-swap
-    /// signal for serving replicas. Cheap when nothing advanced: one
-    /// atomic load, then per-shard version compares under the subs lock.
-    ///
-    /// This runs on the reactor callback that completes a round, so it
-    /// keeps the expensive part off the lock: each advanced shard is
-    /// snapshotted **once** per call and shared across subscribers, and
-    /// the per-subscriber weight copies happen outside the subs lock.
-    fn publish_updates(&self, out: &mut Outbox) {
-        if self.subs_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        // Pass 1 (subs lock, no copying): which subscribers lag which
-        // shard?
-        let lagging: Vec<(ConnId, u32)> = {
-            let subs = self.subs.lock().expect("subs map poisoned");
-            let mut lagging = Vec::new();
-            for (shard_idx, sh) in self.ctx.shards.iter().enumerate() {
-                let shard = (self.ctx.shard_base + shard_idx) as u32;
-                let current = sh.version();
-                for (conn, per_shard) in subs.iter() {
-                    if per_shard.get(&shard).is_some_and(|&last| last < current) {
-                        lagging.push((*conn, shard));
-                    }
-                }
-            }
-            lagging
-        };
-        if lagging.is_empty() {
-            return;
-        }
-        // One consistent snapshot per advanced shard, shared by every
-        // lagging subscriber of that shard.
-        let mut snaps: HashMap<u32, (u64, Vec<f32>)> = HashMap::new();
-        for &(_, shard) in &lagging {
-            snaps.entry(shard).or_insert_with(|| {
-                lookup(&self.ctx, shard).expect("lagging shard is local").versioned_snapshot()
-            });
-        }
-        // Each subscriber gets its negotiated representation. Compressed
-        // payloads are encoded once per (shard, codec) and copied into
-        // pooled buffers per subscriber; dense payloads are copied into
-        // pooled tensor buffers — no fresh `Vec` allocation either way.
-        let codec_of: HashMap<ConnId, Codec> = {
-            let conns = self.conns.lock().expect("conn map poisoned");
-            lagging
-                .iter()
-                .map(|&(c, _)| (c, conns.get(&c).copied().unwrap_or_default().codec))
-                .collect()
-        };
-        let mut encoded: HashMap<(u32, u8), Vec<u8>> = HashMap::new();
-        let mut sent = Vec::with_capacity(lagging.len());
-        for (conn, shard) in lagging {
-            let (version, weights) = &snaps[&shard];
-            let wcodec = codec_of[&conn].weights_codec();
-            let msg = if wcodec == Codec::F32 {
-                let mut copy = ea_tensor::pool::take_cleared(weights.len());
-                copy.extend_from_slice(weights);
-                Message::WeightsUpdate { shard, version: *version, weights: copy }
-            } else {
-                let blob = encoded.entry((shard, wcodec.to_wire())).or_insert_with(|| {
-                    let mut blob = ea_comms::take_blob(wcodec.encoded_len(weights.len()));
-                    wcodec.encode(weights, &mut blob);
-                    blob
-                });
-                let mut copy = ea_comms::take_blob(blob.len());
-                copy.extend_from_slice(blob);
-                Message::WeightsUpdateC {
-                    shard,
-                    version: *version,
-                    codec: wcodec,
-                    n: weights.len() as u32,
-                    blob: copy,
-                }
-            };
-            out.send(conn, msg);
-            sent.push((conn, shard, *version));
-        }
-        for (_, blob) in encoded {
-            ea_comms::recycle_blob(blob);
-        }
-        // Record what was sent. A concurrent publish from another
-        // reactor thread may have pushed (and recorded) a newer version
-        // meanwhile — keep the max; a stale push is harmless because the
-        // subscriber discards versions at or below what it serves.
-        let mut subs = self.subs.lock().expect("subs map poisoned");
-        for (conn, shard, version) in sent {
-            if let Some(last) = subs.get_mut(&conn).and_then(|m| m.get_mut(&shard)) {
-                *last = (*last).max(version);
+    /// Runs `f` on the core under the lock and stages what it emitted.
+    /// Replies owed to another adapter's connections cannot be delivered
+    /// from this reactor and are dropped — those clients retransmit, as
+    /// after any lost reply; one reactor per server is the supported shape.
+    fn drive<R>(
+        &self,
+        out: &mut Outbox,
+        f: impl FnOnce(&mut ShardServerCore, &mut Vec<(ConnKey, Message)>) -> R,
+    ) -> R {
+        let mut replies = Vec::new();
+        let served = f(&mut self.core.lock(), &mut replies);
+        for (to, msg) in replies {
+            if to.space == self.space {
+                out.send(ConnId::from_raw(to.id), msg);
             }
         }
+        served
     }
 }
 
 impl ReactorHandler for ReactorDispatch {
     fn on_message(&self, conn: ConnId, msg: Message, out: &mut Outbox) {
-        let ctx = &self.ctx;
-        // Lease renewal, identical to the per-connection loop: the first
-        // self-identifying message names the pipe; every later message on
-        // the connection renews that pipe's lease. `Hello` also pins the
-        // connection's codec for every later transcode.
-        let (pipe, codec) = {
-            let mut conns = self.conns.lock().expect("conn map poisoned");
-            let meta = conns.entry(conn).or_default();
-            if let Message::Hello { codec, .. } = &msg {
-                meta.codec = *codec;
-            }
-            if let Some(p) = msg_pipe(&msg) {
-                if p < ctx.n_pipelines {
-                    meta.pipe = Some(p);
-                }
-            }
-            (meta.pipe, meta.codec)
-        };
-        if let Some(p) = pipe {
-            touch(ctx, p);
-        }
-
-        // Edge transcode: a compressed submission becomes the plain
-        // `SubmitDelta` the shared `handle` understands.
-        let msg = match decode_request(msg) {
-            Ok(msg) => msg,
-            Err(e) => {
-                ctx.metrics.inc_protocol_violations();
-                log_event!(Warn, "refshard", "dropping conn (pipe {pipe:?}): {e}");
-                out.close(conn, e.to_string());
-                return;
-            }
-        };
-
-        // Park pulls that would block the event loop.
-        if let Message::PullRequest { shard, version } = msg {
-            if !self.pull_ready(shard, version) {
-                let deadline = ctx.pull_wait.map(|w| Instant::now() + w);
-                let mut parked = self.parked.lock().expect("parked list poisoned");
-                parked.push(Parked { conn, shard, version, codec, deadline, t0: Instant::now() });
-                self.parked_count.store(parked.len(), Ordering::Release);
-                return;
-            }
-        }
-
-        let was_submit = matches!(msg, Message::SubmitDelta { .. });
-        let sub_shard =
-            if let Message::SubscribeWeights { shard } = msg { Some(shard) } else { None };
-        match handle(ctx, msg) {
-            Ok(Some(reply)) => {
-                // A subscription's immediate snapshot also registers the
-                // connection for round-boundary pushes, seeded with the
-                // version just sent so the next round triggers a push.
-                if let (Some(shard), Message::WeightsUpdate { version, .. }) = (sub_shard, &reply) {
-                    let mut subs = self.subs.lock().expect("subs map poisoned");
-                    subs.entry(conn).or_default().insert(shard, *version);
-                    self.subs_count.store(subs.len(), Ordering::Release);
-                }
-                out.send(conn, encode_reply(reply, codec));
-            }
-            Ok(None) => {} // bounded pull expired inside handle()
-            Err(e) => {
-                ctx.metrics.inc_protocol_violations();
-                log_event!(Warn, "refshard", "dropping conn (pipe {pipe:?}): {e}");
-                out.close(conn, e.to_string());
-                return;
-            }
-        }
-        // A recorded submission may have completed a round: satisfy
-        // parked pulls *now*, on the same callback, so round latency
-        // never includes a poll interval — and push the new reference
-        // snapshot to serving subscribers at the same boundary.
-        if was_submit {
-            self.complete_parked(out);
-            self.publish_updates(out);
+        let key = self.key(conn);
+        if let Err(e) = self.drive(out, |core, replies| core.on_message(key, msg, replies)) {
+            out.close(conn, e.to_string());
         }
     }
 
     fn on_disconnect(&self, conn: ConnId, reason: &DisconnectReason) {
-        self.conns.lock().expect("conn map poisoned").remove(&conn);
-        if self.parked_count.load(Ordering::Acquire) > 0 {
-            let mut parked = self.parked.lock().expect("parked list poisoned");
-            parked.retain(|p| p.conn != conn);
-            self.parked_count.store(parked.len(), Ordering::Release);
-        }
-        if self.subs_count.load(Ordering::Acquire) > 0 {
-            let mut subs = self.subs.lock().expect("subs map poisoned");
-            subs.remove(&conn);
-            self.subs_count.store(subs.len(), Ordering::Release);
-        }
-        // Same error→counter mapping as the blocking `serve_conn` loop.
-        let m = &self.ctx.metrics;
+        let mut core = self.core.lock();
+        core.on_disconnect(self.key(conn));
+        let m = core.counters();
         match reason {
             DisconnectReason::PeerClosed => m.inc_disconnects(),
             DisconnectReason::Frame(FrameError::BadCrc { .. }) => m.inc_crc_failures(),
@@ -344,53 +101,40 @@ impl ReactorHandler for ReactorDispatch {
     }
 
     fn poll(&self, out: &mut Outbox) {
-        // Covers rounds completed by the *reaper* (degraded quorum) and
-        // pull_wait expiry — neither arrives via on_message. Subscribers
-        // likewise need reaper-completed rounds pushed.
-        self.complete_parked(out);
-        self.publish_updates(out);
+        // Covers rounds completed by the reaper (degraded quorum) or by
+        // another holder of the shards — neither arrives via on_message.
+        self.drive(out, |core, replies| core.flush(replies));
     }
 
     fn has_deferred(&self) -> bool {
-        self.parked_count.load(Ordering::Acquire) > 0 || self.subs_count.load(Ordering::Acquire) > 0
+        self.core.lock().has_deferred()
     }
 
     fn on_shutdown(&self, out: &mut Outbox) {
-        // Answer every parked pull whose round is ready; the rest are
-        // dropped — no reply is owed and a surviving client's retry
-        // logic treats it like a bounded-wait expiry.
-        self.complete_parked(out);
-        let mut parked = self.parked.lock().expect("parked list poisoned");
-        parked.clear();
-        self.parked_count.store(0, Ordering::Release);
-        // Give subscribers one final consistent snapshot if a round
-        // landed since their last push.
-        drop(parked);
-        self.publish_updates(out);
+        // Answer every parked pull whose round is ready and give
+        // subscribers one final snapshot; the rest are scrubbed as their
+        // connections close — a surviving client retransmits elsewhere.
+        self.poll(out);
     }
 }
 
 impl RefShardServer {
     /// Serves `listener` on the `ea-comms` reactor: all connections
-    /// multiplexed over `cfg.threads` event-loop threads instead of one
-    /// thread each. Protocol semantics, metrics, and resulting reference
-    /// weights are identical to [`serve_background`]; see the module docs
-    /// for how blocking pulls are deferred.
+    /// multiplexed over `cfg.threads` event-loop threads, every callback
+    /// executing on this server's [`ShardServerCore`].
     ///
     /// The returned [`Reactor`] serves until dropped or
     /// [`shutdown`](Reactor::shutdown).
-    ///
-    /// [`serve_background`]: RefShardServer::serve_background
     pub fn serve_reactor(&self, listener: TcpListener, cfg: ReactorConfig) -> io::Result<Reactor> {
         Reactor::spawn(listener, self.dispatch(), cfg)
     }
 
-    /// A fresh [`ReactorDispatch`] over this server's shared state, for
-    /// embedding in a *composite* [`ReactorHandler`] — e.g. an inference
-    /// frontend that routes `Infer` to its own engine and delegates the
-    /// whole trainer protocol (plus weight subscriptions) here. Every
-    /// dispatch shares the underlying shards, membership, and metrics.
+    /// A fresh [`ReactorDispatch`] over this server's core, for embedding
+    /// in a *composite* [`ReactorHandler`] — e.g. an inference frontend
+    /// that routes `Infer` to its own engine and delegates the whole
+    /// trainer protocol (plus weight subscriptions) here.
     pub fn dispatch(&self) -> Arc<ReactorDispatch> {
-        Arc::new(ReactorDispatch::new(Arc::clone(&self.ctx)))
+        let space = self.next_space.fetch_add(1, Ordering::Relaxed);
+        Arc::new(ReactorDispatch { core: Arc::clone(&self.core), space })
     }
 }

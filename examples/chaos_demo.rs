@@ -1,7 +1,7 @@
 //! Single-process chaos tour of the fault-tolerance machinery.
 //!
 //! Four worker pipelines train against a fault-tolerant reference-shard
-//! server over the in-process loopback transport. Worker 3's connection
+//! server on the reactor, over loopback TCP. Worker 3's connection
 //! is wrapped in [`FaultyTransport`] with a chaos schedule that kills the
 //! transport the moment it ships its round-3 delta — from the server's
 //! point of view the worker vanishes mid-round. The demo then narrates
@@ -19,11 +19,13 @@
 //! ```
 
 use avgpipe_suite::demo;
+use ea_comms::reactor::ReactorConfig;
 use ea_comms::{
-    loopback_endpoint, ChaosConfig, FaultConfig, FaultyTransport, LoopbackHub, RemoteShards,
-    RetryConfig, ShardChannel, ShardClient,
+    ChaosConfig, FaultConfig, FaultyTransport, RemoteShards, RetryConfig, ShardChannel,
+    ShardClient, TcpConfig, TcpTransport,
 };
 use ea_runtime::{ElasticWorker, FtConfig, RefShardServer};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,15 +46,18 @@ fn quiet() -> FaultConfig {
 }
 
 fn retry() -> RetryConfig {
-    // The fault-tolerant server answers pulls within its bounded wait and
-    // leans on retransmission, so give clients a deep retry budget.
+    // A pull for a stalled round stays parked until the reaper completes
+    // it; the client's retransmissions meanwhile renew its lease, so give
+    // clients a deep retry budget.
     RetryConfig { reply_timeout: Duration::from_millis(100), max_attempts: 100 }
 }
 
-fn connect(hub: &LoopbackHub, pipe: usize) -> Arc<dyn ShardChannel> {
-    let client =
-        ShardClient::handshake(Box::new(hub.connect().expect("loopback connect")), pipe, retry())
-            .expect("handshake");
+fn dial(addr: SocketAddr) -> TcpTransport {
+    TcpTransport::connect(addr, TcpConfig::default()).expect("connect")
+}
+
+fn connect(addr: SocketAddr, pipe: usize) -> Arc<dyn ShardChannel> {
+    let client = ShardClient::handshake(Box::new(dial(addr)), pipe, retry()).expect("handshake");
     Arc::new(RemoteShards::new(vec![client]).expect("channel"))
 }
 
@@ -76,17 +81,17 @@ fn main() {
         .with_fault_tolerance(FtConfig {
             lease: Duration::from_millis(250),
             reap_interval: Duration::from_millis(50),
-            pull_wait: Duration::from_millis(60),
             checkpoint: None,
         });
-    let (hub, listener) = loopback_endpoint();
-    let _accept = server.serve_background(Box::new(listener));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let reactor = server.serve_reactor(listener, ReactorConfig::default()).expect("serve");
+    let addr = reactor.local_addr();
     println!("[chaos] serving {N} pipelines, lease 250ms; worker 3 crashes at round {CRASH_AT}");
 
     // Three healthy workers run all rounds; worker 0 narrates its losses.
     let mut handles = Vec::new();
     for p in 0..N - 1 {
-        let channel = connect(&hub, p);
+        let channel = connect(addr, p);
         handles.push(std::thread::spawn(move || {
             let task = demo::task();
             let mut w = new_worker(p, channel);
@@ -105,7 +110,7 @@ fn main() {
     // Worker 3: chaos transport that dies permanently at round CRASH_AT.
     let doomed = {
         let conn = FaultyTransport::with_chaos(
-            hub.connect().expect("loopback connect"),
+            dial(addr),
             quiet(),
             ChaosConfig::crash_at(CRASH_AT),
             0xC4A05,
@@ -155,7 +160,7 @@ fn main() {
             last_live = live;
         }
         if rejoiner.is_none() && m.evictions >= 1 {
-            let channel = connect(&hub, N - 1);
+            let channel = connect(addr, N - 1);
             rejoiner = Some(std::thread::spawn(move || {
                 let task = demo::task();
                 let mut w = new_worker(N - 1, channel);

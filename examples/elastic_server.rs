@@ -1,13 +1,14 @@
 //! Reference-shard server for the two-process elastic-averaging demo.
 //!
-//! Hosts the per-stage reference shards behind the TCP transport and
+//! Hosts the per-stage reference shards on the `ea-comms` reactor and
 //! serves the configured number of worker pipelines until they finish and
 //! disconnect, then prints a bit-exact checksum of the final reference
 //! weights for each stage (the workers print the same checksums, so a
 //! byte-level comparison across processes is a `grep` away).
 //!
-//! With `--fault-tolerant` the server instead runs the membership/lease
-//! protocol: workers that go silent past the lease are evicted and
+//! With `--fault-tolerant` the server also runs the membership/lease
+//! protocol (and is done when every shard reaches `--rounds`, whoever is
+//! still connected): workers that go silent past the lease are evicted and
 //! stalled rounds complete degraded over the survivors; a restarted
 //! worker rejoins at the next round boundary. `--checkpoint PATH` adds
 //! periodic atomic reference checkpoints — if PATH already exists on
@@ -30,11 +31,11 @@
 //! ```
 
 use avgpipe_suite::demo;
-use ea_comms::{TcpConfig, TcpServer};
+use ea_comms::reactor::ReactorConfig;
 use ea_runtime::{FtConfig, RefCheckpoint, RefShardServer};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     let mut addr = "127.0.0.1:7070".to_string();
@@ -133,8 +134,7 @@ fn main() {
         }
     };
 
-    let mut listener = TcpServer::bind(&addr, TcpConfig::default()).expect("bind the demo address");
-    let addr = listener.local_addr().expect("local addr");
+    let listener = std::net::TcpListener::bind(&addr).expect("bind the demo address");
 
     // Fleet observability: keep a flight-recorder window (dumped on
     // SIGUSR1 or a runtime anomaly) and stream this process's trace
@@ -151,58 +151,57 @@ fn main() {
         ea_ops::OpsPusher::spawn(collector, cfg).expect("connect to ops collector")
     });
 
-    if fault_tolerant {
+    let server = if fault_tolerant {
         let lease = Duration::from_millis(lease_ms);
-        let cfg = FtConfig {
+        server.with_fault_tolerance(FtConfig {
             lease,
             reap_interval: lease / 4,
-            pull_wait: lease / 8,
             checkpoint: checkpoint.clone().map(|p| (p, lease / 4)),
-        };
-        let server = server.with_fault_tolerance(cfg);
-        // The workers (and the CI smoke test) wait for this line.
-        println!("LISTENING {addr} shards={base}..{end}/{total} codec={codec}");
-        let _accept = server.serve_background(Box::new(listener));
-
-        // Workers connect, crash, and reconnect in any order; the server
-        // is done once every shard has advanced past the target round.
-        loop {
-            let done = server.shards().iter().all(|s| s.version() >= rounds);
-            if done {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let m = server.metrics();
-        println!(
-            "METRICS evictions={} rejoins={} degraded_rounds={} heartbeats={} \
-             checkpoints_saved={} disconnects={} protocol_violations={} crc_failures={}",
-            m.evictions,
-            m.rejoins,
-            m.degraded_rounds,
-            m.heartbeats,
-            m.checkpoints_saved,
-            m.disconnects,
-            m.protocol_violations,
-            m.crc_failures,
-        );
-        println!("QUORUM live={}/{n}", server.live_count());
-        print_checksums(&server, base);
-        println!("SERVER DONE after {rounds} rounds");
+        })
     } else {
-        println!("LISTENING {addr} shards={base}..{end}/{total} codec={codec}");
-        let conns = server.serve_connections(&mut listener, n).expect("accept workers");
-        for conn in conns {
-            conn.join().expect("connection thread panicked");
-        }
-        print_checksums(&server, base);
-        println!("SERVER DONE after {rounds} rounds");
-    }
-}
+        server
+    };
+    let reactor = server.serve_reactor(listener, ReactorConfig::default()).expect("serve");
+    // The workers (and the CI smoke test) wait for this line.
+    println!("LISTENING {} shards={base}..{end}/{total} codec={codec}", reactor.local_addr());
 
-fn print_checksums(server: &RefShardServer, base: usize) {
+    // Fault-tolerant: workers connect, crash, and reconnect in any order;
+    // the server is done once every shard has advanced past the target
+    // round. Otherwise it is done once all `n` workers came and went.
+    let done = || {
+        if fault_tolerant {
+            server.shards().iter().all(|s| s.version() >= rounds)
+        } else {
+            server.metrics().disconnects >= n as u64 && reactor.live_connections() == 0
+        }
+    };
+    while !done() {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Let the workers read the final reference and hang up — bounded,
+    // because a partitioned worker's socket never closes on its own.
+    let grace = Instant::now() + Duration::from_secs(2);
+    while reactor.live_connections() > 0 && Instant::now() < grace {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    reactor.shutdown_graceful(Duration::from_secs(1));
+    let m = server.metrics();
+    println!(
+        "METRICS evictions={} rejoins={} degraded_rounds={} heartbeats={} \
+         checkpoints_saved={} disconnects={} protocol_violations={} crc_failures={}",
+        m.evictions,
+        m.rejoins,
+        m.degraded_rounds,
+        m.heartbeats,
+        m.checkpoints_saved,
+        m.disconnects,
+        m.protocol_violations,
+        m.crc_failures,
+    );
+    println!("QUORUM live={}/{n}", server.live_count());
     for (s, shard) in server.shards().iter().enumerate() {
         let w = shard.snapshot();
         println!("REF_CHECKSUM stage={} {:#010x}", base + s, demo::weights_checksum(&w));
     }
+    println!("SERVER DONE after {rounds} rounds");
 }

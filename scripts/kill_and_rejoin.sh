@@ -11,7 +11,8 @@
 #   * the server wrote reference checkpoints along the way
 #
 # Usage: scripts/kill_and_rejoin.sh [logdir]
-#   SKIP_BUILD=1  reuse existing ./target/release/examples binaries
+#   SKIP_BUILD=1  reuse the binaries already under
+#                 ${CARGO_TARGET_DIR:-target}/release/examples
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,8 +27,9 @@ rm -f "$LOGDIR"/*.log "$CKPT"
 if [ -z "${SKIP_BUILD:-}" ]; then
   cargo build --release --example elastic_server --example elastic_worker
 fi
-SERVER=./target/release/examples/elastic_server
-WORKER=./target/release/examples/elastic_worker
+BIN="${CARGO_TARGET_DIR:-target}/release"
+SERVER="$BIN/examples/elastic_server"
+WORKER="$BIN/examples/elastic_worker"
 
 cleanup() {
   # No `kill 0` fallback: an unset pid must not signal the process group.

@@ -14,7 +14,8 @@
 #     the uniform fleet trips no straggler flags
 #
 # Usage: scripts/ops_smoke.sh [logdir]
-#   SKIP_BUILD=1  reuse existing ./target/release binaries
+#   SKIP_BUILD=1  reuse the binaries already under
+#                 ${CARGO_TARGET_DIR:-target}/release
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,10 +33,11 @@ if [ -z "${SKIP_BUILD:-}" ]; then
   cargo build --release --example elastic_server --example elastic_worker
   cargo build --release -p ea-ops --bins
 fi
-SERVER=./target/release/examples/elastic_server
-WORKER=./target/release/examples/elastic_worker
-COLLECTOR=./target/release/ops_collector
-REPORT=./target/release/ops_report
+BIN="${CARGO_TARGET_DIR:-target}/release"
+SERVER="$BIN/examples/elastic_server"
+WORKER="$BIN/examples/elastic_worker"
+COLLECTOR="$BIN/ops_collector"
+REPORT="$BIN/ops_report"
 
 WORKER_PIDS=()
 cleanup() {

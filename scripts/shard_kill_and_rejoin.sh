@@ -13,7 +13,8 @@
 #   * both servers complete every round (`SERVER DONE`)
 #
 # Usage: scripts/shard_kill_and_rejoin.sh [logdir]
-#   SKIP_BUILD=1  reuse existing ./target/release/examples binaries
+#   SKIP_BUILD=1  reuse the binaries already under
+#                 ${CARGO_TARGET_DIR:-target}/release/examples
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,8 +33,9 @@ rm -f "$LOGDIR"/*.log "$CKPT0" "$CKPT1"
 if [ -z "${SKIP_BUILD:-}" ]; then
   cargo build --release --example elastic_server --example elastic_worker
 fi
-SERVER=./target/release/examples/elastic_server
-WORKER=./target/release/examples/elastic_worker
+BIN="${CARGO_TARGET_DIR:-target}/release"
+SERVER="$BIN/examples/elastic_server"
+WORKER="$BIN/examples/elastic_worker"
 
 WORKER_PIDS=()
 cleanup() {

@@ -1,12 +1,13 @@
 //! End-to-end tests for the transport-backed elastic trainer: the same
-//! training loop over the in-process shards, the loopback backend, the
-//! TCP backend, and the fault-injected TCP backend must all produce
-//! byte-identical losses and reference weights.
+//! training loop over the in-process shards, over TCP to the reactor, and
+//! over fault-injected TCP must all produce byte-identical losses and
+//! reference weights.
 
 use avgpipe_suite::demo;
+use ea_comms::reactor::{Reactor, ReactorConfig};
 use ea_comms::{
-    loopback_endpoint, FaultConfig, FaultyTransport, Listener, RemoteShards, RetryConfig,
-    ShardChannel, ShardClient, TcpConfig, TcpServer, TcpTransport,
+    FaultConfig, FaultyTransport, RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig,
+    TcpTransport, Transport,
 };
 use ea_data::Batch;
 use ea_models::gnmt_analogue;
@@ -54,70 +55,58 @@ fn assert_identical(
     }
 }
 
-#[test]
-fn loopback_training_is_byte_identical_to_in_process() {
-    let rounds = 4;
+/// The demo reference behind a one-thread reactor on an ephemeral port.
+fn serve_demo() -> (RefShardServer, Reactor) {
     let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
-    let (hub, mut listener) = loopback_endpoint();
-    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let reactor = server
+        .serve_reactor(listener, ReactorConfig { threads: 1, ..ReactorConfig::default() })
+        .unwrap();
+    (server, reactor)
+}
+
+/// One handshaken client per demo pipeline, each over `wrap(pipe, socket)`.
+fn connect_all(
+    reactor: &Reactor,
+    retry: RetryConfig,
+    wrap: impl Fn(usize, TcpTransport) -> Box<dyn Transport>,
+) -> Arc<dyn ShardChannel> {
+    let clients = (0..demo::N_PIPELINES)
         .map(|p| {
-            let conn = hub.connect().unwrap();
-            // Service threads exit when their client disconnects.
-            let _detached = server.spawn_conn(listener.accept().unwrap());
-            ShardClient::handshake(Box::new(conn), p, RetryConfig::default()).unwrap()
+            let conn = TcpTransport::connect(reactor.local_addr(), TcpConfig::default()).unwrap();
+            ShardClient::handshake(wrap(p, conn), p, retry).unwrap()
         })
         .collect();
-    let channel: Arc<dyn ShardChannel> = Arc::new(RemoteShards::new(clients).unwrap());
-    let result = run(&mut trainer_with(channel), rounds);
-    assert_identical(result, run_local(rounds));
+    Arc::new(RemoteShards::new(clients).unwrap())
 }
 
 #[test]
 fn tcp_training_is_byte_identical_to_in_process() {
     let rounds = 4;
-    let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
-    let mut listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
-        .map(|p| {
-            let conn = TcpTransport::connect(addr, TcpConfig::default()).unwrap();
-            let _detached = server.spawn_conn(listener.accept().unwrap());
-            ShardClient::handshake(Box::new(conn), p, RetryConfig::default()).unwrap()
-        })
-        .collect();
-    let channel: Arc<dyn ShardChannel> = Arc::new(RemoteShards::new(clients).unwrap());
+    let (_server, reactor) = serve_demo();
+    let channel = connect_all(&reactor, RetryConfig::default(), |_, conn| Box::new(conn));
     let result = run(&mut trainer_with(channel), rounds);
     assert_identical(result, run_local(rounds));
 }
 
 /// The acceptance test of the fault-injection shim: 10% drop, 10% delay,
-/// 10% duplicate on *both* sides of every connection, and training still
-/// produces bit-for-bit the in-process result — retries make delivery
-/// at-least-once, idempotent submissions make it effectively exactly-once.
+/// 10% duplicate on the client's side of every connection — lost and
+/// duplicated *requests*, so retransmissions and duplicate acks — and
+/// training still produces bit-for-bit the in-process result: retries
+/// make delivery at-least-once, idempotent submissions make it effectively
+/// exactly-once. (Server→client loss on every directed link, with reorder,
+/// is the ea-chaos sweep's job: 500 seeds per CI run.)
 #[test]
 fn faulty_tcp_training_is_byte_identical_at_ten_percent_loss() {
     let rounds = 3;
-    let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
-    let mut listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-    let addr = listener.local_addr().unwrap();
+    let (server, reactor) = serve_demo();
     // Tight reply timeout so dropped messages retransmit quickly.
     let retry =
         RetryConfig { reply_timeout: std::time::Duration::from_millis(100), max_attempts: 30 };
-    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
-        .map(|p| {
-            let conn = TcpTransport::connect(addr, TcpConfig::default()).unwrap();
-            let faulty = FaultyTransport::new(conn, FaultConfig::lossy_10(), 100 + p as u64);
-            // The server's side of this connection injects faults too.
-            let server_conn = FaultyTransport::new(
-                listener.accept().unwrap(),
-                FaultConfig::lossy_10(),
-                200 + p as u64,
-            );
-            let _detached = server.spawn_conn(Box::new(server_conn));
-            ShardClient::handshake(Box::new(faulty), p, retry).unwrap()
-        })
-        .collect();
-    let channel: Arc<dyn ShardChannel> = Arc::new(RemoteShards::new(clients).unwrap());
+    let channel = connect_all(&reactor, retry, |p, conn| {
+        Box::new(FaultyTransport::new(conn, FaultConfig::lossy_10(), 100 + p as u64))
+    });
     let result = run(&mut trainer_with(channel), rounds);
     assert_identical(result, run_local(rounds));
+    assert_eq!(server.metrics().protocol_violations, 0);
 }

@@ -3,13 +3,12 @@
 //!
 //! These run the real TCP transport with a four-pipeline ensemble, so
 //! they exercise the full stack the chaos demo narrates: membership
-//! leases, the reaper, bounded pull waits with client retransmission,
+//! leases, the reaper, parked pulls with client retransmission,
 //! per-round membership records, and atomic reference checkpoints.
 
 use avgpipe_suite::demo;
-use ea_comms::{
-    RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpServer, TcpTransport,
-};
+use ea_comms::reactor::{Reactor, ReactorConfig};
+use ea_comms::{RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpTransport};
 use ea_data::{Batch, SyntheticTask};
 use ea_models::gnmt_analogue;
 use ea_runtime::{ElasticTrainer, ElasticWorker, FtConfig, RefCheckpoint, RefShardServer};
@@ -27,10 +26,21 @@ fn alpha() -> f32 {
     1.0 / N as f32
 }
 
-/// Deep retry budget: the fault-tolerant server answers pulls within its
-/// bounded wait and relies on retransmission while rounds stall.
+/// Deep retry budget: a pull for a stalled round stays parked until the
+/// reaper completes it degraded; the retransmissions meanwhile renew the
+/// lease.
 fn retry() -> RetryConfig {
     RetryConfig { reply_timeout: Duration::from_millis(100), max_attempts: 200 }
+}
+
+/// Serves `server` on a one-thread reactor; returns it with its address.
+fn serve(server: &RefShardServer) -> (Reactor, String) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let reactor = server
+        .serve_reactor(listener, ReactorConfig { threads: 1, ..ReactorConfig::default() })
+        .expect("serve_reactor");
+    let addr = reactor.local_addr().to_string();
+    (reactor, addr)
 }
 
 fn connect(addr: &str, pipe: usize) -> Arc<dyn ShardChannel> {
@@ -84,14 +94,11 @@ fn crashed_worker_is_evicted_survivors_degrade_and_a_restart_rejoins() {
             FtConfig {
                 lease: Duration::from_millis(400),
                 reap_interval: Duration::from_millis(100),
-                pull_wait: Duration::from_millis(100),
                 checkpoint: None,
             },
         ),
     );
-    let listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let _accept = server.serve_background(Box::new(listener));
+    let (_reactor, addr) = serve(&server);
 
     // Three survivors run all rounds; their pulls stall while round 4 is
     // missing pipe 3's delta and resume once the reaper completes it
@@ -212,20 +219,16 @@ fn server_kill_and_restart_restores_from_checkpoint_and_resumes() {
 
     // Phase 1: fault-tolerant server with fast periodic checkpoints;
     // both workers complete four rounds, then the server is torn down.
-    let addr1;
     {
         let server = Arc::new(
             RefShardServer::from_initial_weights(demo::initial_reference(), n)
                 .with_fault_tolerance(FtConfig {
                     lease: Duration::from_millis(2000),
                     reap_interval: Duration::from_millis(40),
-                    pull_wait: Duration::from_millis(100),
                     checkpoint: Some((ckpt_path.clone(), Duration::from_millis(40))),
                 }),
         );
-        let listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-        addr1 = listener.local_addr().expect("local addr").to_string();
-        let _accept = server.serve_background(Box::new(listener));
+        let (_reactor, addr1) = serve(&server);
 
         let workers: Vec<_> = (0..n)
             .map(|p| {
@@ -269,9 +272,7 @@ fn server_kill_and_restart_restores_from_checkpoint_and_resumes() {
         assert_eq!(&shard.snapshot(), saved, "restored weights differ from the checkpoint");
     }
 
-    let listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-    let addr2 = listener.local_addr().expect("local addr").to_string();
-    let _accept = server.serve_background(Box::new(listener));
+    let (_reactor, addr2) = serve(&server);
 
     // Rejoining workers resync to the restored round and train on.
     let workers: Vec<_> = (0..n)
