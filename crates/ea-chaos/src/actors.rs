@@ -56,9 +56,11 @@ pub struct ServerActor {
     /// Highest generation seen per peer; lower generations are closed
     /// sockets and their traffic is dropped.
     latest_gen: BTreeMap<Addr, u64>,
-    /// The simulated disk: survives crashes. Tagged with the incarnation
-    /// that captured it so the restore oracle can compare histories.
-    disk: Option<(u64, RefCheckpoint)>,
+    /// The simulated disk: survives crashes. Holds the checkpoint *file
+    /// bytes*, so a restore goes through the real decoder, tagged with
+    /// the incarnation that captured them so the restore oracle can
+    /// compare histories.
+    disk: Option<(u64, Vec<u8>)>,
 }
 
 impl ServerActor {
@@ -117,7 +119,8 @@ impl ServerActor {
         }
         self.inc += 1;
         let core = match (mode, &self.disk) {
-            (RestartMode::FromCheckpoint, Some((from_inc, ck))) => {
+            (RestartMode::FromCheckpoint, Some((from_inc, file))) => {
+                let ck = &RefCheckpoint::decode(file).expect("the simulated disk never corrupts");
                 let core = ShardServerCore::from_checkpoint(
                     ck,
                     ctx.cfg.n_workers,
@@ -162,7 +165,8 @@ impl ServerActor {
                 if let Some(ck) = core.capture_checkpoint() {
                     ctx.oracle.check_capture(ctx.now, self.id, self.inc, &ck);
                     ctx.logf(format!("server {} checkpoint at round {}", self.id, ck.round));
-                    self.disk = Some((self.inc, ck));
+                    let file = ck.encode().expect("simulated shards fit one frame");
+                    self.disk = Some((self.inc, file));
                 }
                 ctx.at(ctx.cfg.checkpoint_ns, Event::ServerTimer { server: self.id, inc, kind });
             }

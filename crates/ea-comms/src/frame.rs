@@ -30,8 +30,9 @@ pub const MAGIC: [u8; 4] = *b"EAC1";
 /// to `Hello`, the codec + shard-map fields to `HelloAck`, and wire tags
 /// 17–19 (compressed weight/delta messages). Version 3 added the clock
 /// timestamps to `Heartbeat`/`HeartbeatAck` and wire tags 20–21
-/// (observability push to an `ea-ops` collector).
-pub const PROTO_VERSION: u8 = 3;
+/// (observability push to an `ea-ops` collector). Version 4 dropped the
+/// epoch pair from the `ea-ops` trace blob (one process clock).
+pub const PROTO_VERSION: u8 = 4;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -188,6 +189,90 @@ pub fn write_frame(
     Ok(scratch.len())
 }
 
+/// Appends `s` as a `u32` length + UTF-8 bytes — what [`Reader::str`]
+/// reads back.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Bounds-checked little-endian cursor over a payload: the one byte
+/// decoder behind wire messages, `ea-ops` blobs and checkpoint files.
+/// Every read that would pass the end is a [`FrameError::BadPayload`],
+/// never a panic, and a length field can only ever borrow bytes that are
+/// already in the buffer, so it cannot force an allocation.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, at: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        let left = self.buf.len() - self.at;
+        if n > left {
+            return Err(FrameError::BadPayload(format!(
+                "truncated at byte {}: need {n}, {left} left",
+                self.at
+            )));
+        }
+        let s = &self.buf[self.at..self.at + n];
+        self.at += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        Ok(self.take(N)?.try_into().expect("take(N) returns N bytes"))
+    }
+
+    pub fn u8(&mut self) -> Result<u8, FrameError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    pub fn u16(&mut self) -> Result<u16, FrameError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    pub fn u32(&mut self) -> Result<u32, FrameError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    pub fn u64(&mut self) -> Result<u64, FrameError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    pub fn i64(&mut self) -> Result<i64, FrameError> {
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32` length + UTF-8 string ([`put_str`]).
+    pub fn str(&mut self) -> Result<String, FrameError> {
+        let n = self.u32()? as usize;
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|e| FrameError::BadPayload(format!("bad utf-8: {e}")))
+    }
+
+    /// Everything not yet read (a message's trailing variable-length
+    /// field).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.at..];
+        self.at = self.buf.len();
+        s
+    }
+
+    /// Rejects trailing bytes: a decoder calls this last.
+    pub fn done(&self) -> Result<(), FrameError> {
+        match self.buf.len() - self.at {
+            0 => Ok(()),
+            n => Err(FrameError::BadPayload(format!("{n} trailing bytes"))),
+        }
+    }
+}
+
 /// Errors from [`read_frame`]: either the stream itself failed or the
 /// bytes on it were not a valid frame.
 #[derive(Debug)]
@@ -319,6 +404,40 @@ mod tests {
             read_frame(&mut bad_flags.as_slice()),
             Err(ReadFrameError::Frame(FrameError::BadFlags(1)))
         ));
+    }
+
+    #[test]
+    fn reader_reads_in_order_and_never_passes_the_end() {
+        let mut buf = vec![7u8];
+        buf.extend_from_slice(&0x0201u16.to_le_bytes());
+        buf.extend_from_slice(&0x0605_0403u32.to_le_bytes());
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&(-5i64).to_le_bytes());
+        put_str(&mut buf, "héllo");
+        buf.extend_from_slice(&[9, 9]);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u16(), Ok(0x0201));
+        assert_eq!(r.u32(), Ok(0x0605_0403));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.i64(), Ok(-5));
+        assert_eq!(r.str().as_deref(), Ok("héllo"));
+        assert!(r.done().is_err(), "two bytes are still unread");
+        assert!(r.u32().is_err(), "only two bytes left");
+        assert_eq!(r.take(2), Ok(&[9u8, 9][..]), "a failed read consumes nothing");
+        assert_eq!(r.done(), Ok(()));
+        assert!(r.u8().is_err());
+        assert_eq!(r.rest(), &[] as &[u8]);
+    }
+
+    #[test]
+    fn reader_string_length_cannot_outrun_the_buffer() {
+        let mut buf = u32::MAX.to_le_bytes().to_vec();
+        buf.extend_from_slice(b"abc");
+        assert!(Reader::new(&buf).str().is_err());
+        let mut bad_utf8 = 2u32.to_le_bytes().to_vec();
+        bad_utf8.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(Reader::new(&bad_utf8).str().is_err());
     }
 
     #[test]

@@ -36,13 +36,11 @@
 pub(crate) mod bytepool;
 pub mod client;
 pub mod clock;
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub(crate) mod conn;
 pub mod fault;
 pub mod frame;
 pub mod loopback;
 pub mod reactor;
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub(crate) mod sys;
 pub mod tcp;
 pub(crate) mod trace;

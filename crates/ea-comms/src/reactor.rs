@@ -32,9 +32,9 @@
 //! the same `frame` + `wire` protocol, so every existing transport-level
 //! test runs against it unmodified.
 //!
-//! On non-Linux hosts (or architectures without raw-syscall bindings in
-//! [`crate::sys`]) the same public API is provided by a thread-per-
-//! connection fallback, so downstream code never needs a `cfg`.
+//! Platform: Linux on x86_64 or aarch64 only. The event loop is epoll
+//! through the raw-syscall bindings in [`crate::sys`]; there is no
+//! fallback, and any other target fails to compile with that message.
 //!
 //! [`ShardClient`]: crate::client::ShardClient
 
@@ -44,12 +44,12 @@ use std::time::Duration;
 use crate::frame::FrameError;
 use crate::wire::Message;
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-#[path = "reactor_epoll.rs"]
-mod imp;
-
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[path = "reactor_threaded.rs"]
+compile_error!(
+    "ea-comms needs Linux on x86_64 or aarch64: the reactor is epoll over raw syscalls (sys.rs)"
+);
+
+#[path = "reactor_epoll.rs"]
 mod imp;
 
 pub use imp::{Reactor, ReactorWaker};

@@ -74,15 +74,22 @@
 //!   for worker↔server skew measurement, which is why version 2 frames
 //!   are rejected: the heartbeat payload grew.
 //!
+//! `PROTO_VERSION` 4 changed no message: it dropped the epoch pair from
+//! the `ea-ops` trace blob inside `OpsPush`, so a mixed pusher/collector
+//! pair fails the `Hello` instead of every blob decode.
+//!
 //! The extensions are versioned by the frame header's `PROTO_VERSION`
 //! plus tag range: a pre-serving peer rejects tags 13–21 as
 //! `UnknownType` and closes, so mixed deployments fail loudly at the
 //! first unknown message instead of corrupting training state.
 //!
-//! Payload encoding is little-endian and fixed-layout; the flat `f32`
-//! buffers use [`ea_optim::codec`] so decode lands in pooled storage.
+//! Payload encoding is little-endian and fixed-layout, read back through
+//! the one bounds-checked cursor ([`crate::frame::Reader`]); the flat
+//! `f32` buffers use [`ea_optim::codec`] so decode lands in pooled
+//! storage. Tags from [`tag::FILE_REF_CHECKPOINT`] up name frames that
+//! live in files (the same header and CRC, never a connection).
 
-use crate::frame::FrameError;
+use crate::frame::{FrameError, Reader};
 use ea_optim::codec::{decode_f32s_le, encode_f32s_le};
 use ea_optim::Codec;
 
@@ -220,6 +227,9 @@ pub mod tag {
     pub const WEIGHTS_UPDATE_C: u8 = 19;
     pub const OPS_PUSH: u8 = 20;
     pub const OPS_ACK: u8 = 21;
+    /// File-only tags start here: frames that are written to disk and
+    /// never sent. `decode_payload` rejects them as `UnknownType`.
+    pub const FILE_REF_CHECKPOINT: u8 = 128;
 }
 
 /// Highest wire tag currently assigned (tests sweep `1..=MAX_TAG`).
@@ -259,29 +269,7 @@ impl Message {
 
     /// Short name for logs and errors.
     pub fn name(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "Hello",
-            Message::HelloAck { .. } => "HelloAck",
-            Message::PullRequest { .. } => "PullRequest",
-            Message::PullReply { .. } => "PullReply",
-            Message::SubmitDelta { .. } => "SubmitDelta",
-            Message::Ack { .. } => "Ack",
-            Message::Heartbeat { .. } => "Heartbeat",
-            Message::HeartbeatAck { .. } => "HeartbeatAck",
-            Message::RoundInfoRequest { .. } => "RoundInfoRequest",
-            Message::RoundInfoReply { .. } => "RoundInfoReply",
-            Message::MetricsRequest => "MetricsRequest",
-            Message::MetricsReply { .. } => "MetricsReply",
-            Message::Infer { .. } => "Infer",
-            Message::InferReply { .. } => "InferReply",
-            Message::SubscribeWeights { .. } => "SubscribeWeights",
-            Message::WeightsUpdate { .. } => "WeightsUpdate",
-            Message::SubmitDeltaC { .. } => "SubmitDeltaC",
-            Message::PullReplyC { .. } => "PullReplyC",
-            Message::WeightsUpdateC { .. } => "WeightsUpdateC",
-            Message::OpsPush { .. } => "OpsPush",
-            Message::OpsAck { .. } => "OpsAck",
-        }
+        Message::tag_name(self.wire_type())
     }
 
     /// Short name for a wire tag (counter labels); `"?"` for unassigned.
@@ -435,235 +423,109 @@ impl Message {
         }
     }
 
-    /// Decodes a payload for frame tag `msg_type`.
+    /// Decodes a payload for frame tag `msg_type`. Fields are read in
+    /// wire order (struct-literal fields evaluate as written).
     pub fn decode_payload(msg_type: u8, payload: &[u8]) -> Result<Message, FrameError> {
-        let bad = |why: &str| FrameError::BadPayload(why.to_string());
-        match msg_type {
+        let mut r = Reader::new(payload);
+        let msg = match msg_type {
             tag::HELLO => {
-                let p = fixed::<7>(payload)?;
-                Ok(Message::Hello {
-                    proto: le_u16(&p[0..2]),
-                    pipe: le_u32(&p[2..6]),
-                    codec: wire_codec(p[6])?,
-                })
+                Message::Hello { proto: r.u16()?, pipe: r.u32()?, codec: wire_codec(r.u8()?)? }
             }
-            tag::HELLO_ACK => {
-                let p = fixed::<19>(payload)?;
-                Ok(Message::HelloAck {
-                    proto: le_u16(&p[0..2]),
-                    n_shards: le_u32(&p[2..6]),
-                    n_pipelines: le_u32(&p[6..10]),
-                    codec: wire_codec(p[10])?,
-                    shard_base: le_u32(&p[11..15]),
-                    shard_count: le_u32(&p[15..19]),
-                })
-            }
-            tag::PULL_REQUEST => {
-                let p = fixed::<12>(payload)?;
-                Ok(Message::PullRequest { shard: le_u32(&p[0..4]), version: le_u64(&p[4..12]) })
-            }
+            tag::HELLO_ACK => Message::HelloAck {
+                proto: r.u16()?,
+                n_shards: r.u32()?,
+                n_pipelines: r.u32()?,
+                codec: wire_codec(r.u8()?)?,
+                shard_base: r.u32()?,
+                shard_count: r.u32()?,
+            },
+            tag::PULL_REQUEST => Message::PullRequest { shard: r.u32()?, version: r.u64()? },
             tag::PULL_REPLY => {
-                if payload.len() < 12 {
-                    return Err(bad("PullReply shorter than its fixed fields"));
-                }
-                let weights = decode_f32s_le(&payload[12..])
-                    .map_err(|e| FrameError::BadPayload(e.to_string()))?;
-                Ok(Message::PullReply {
-                    shard: le_u32(&payload[0..4]),
-                    version: le_u64(&payload[4..12]),
-                    weights,
-                })
+                Message::PullReply { shard: r.u32()?, version: r.u64()?, weights: f32s(r.rest())? }
             }
-            tag::SUBMIT_DELTA => {
-                if payload.len() < 16 {
-                    return Err(bad("SubmitDelta shorter than its fixed fields"));
-                }
-                let delta = decode_f32s_le(&payload[16..])
-                    .map_err(|e| FrameError::BadPayload(e.to_string()))?;
-                Ok(Message::SubmitDelta {
-                    shard: le_u32(&payload[0..4]),
-                    round: le_u64(&payload[4..12]),
-                    pipe: le_u32(&payload[12..16]),
-                    delta,
-                })
-            }
-            tag::ACK => {
-                let p = fixed::<17>(payload)?;
-                let dup = match p[16] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(bad("Ack duplicate flag out of range")),
-                };
-                Ok(Message::Ack {
-                    shard: le_u32(&p[0..4]),
-                    round: le_u64(&p[4..12]),
-                    pipe: le_u32(&p[12..16]),
-                    duplicate: dup,
-                })
-            }
+            tag::SUBMIT_DELTA => Message::SubmitDelta {
+                shard: r.u32()?,
+                round: r.u64()?,
+                pipe: r.u32()?,
+                delta: f32s(r.rest())?,
+            },
+            tag::ACK => Message::Ack {
+                shard: r.u32()?,
+                round: r.u64()?,
+                pipe: r.u32()?,
+                duplicate: flag(r.u8()?, "Ack duplicate")?,
+            },
             tag::HEARTBEAT => {
-                let p = fixed::<20>(payload)?;
-                Ok(Message::Heartbeat {
-                    pipe: le_u32(&p[0..4]),
-                    round: le_u64(&p[4..12]),
-                    t_tx_us: le_u64(&p[12..20]),
-                })
+                Message::Heartbeat { pipe: r.u32()?, round: r.u64()?, t_tx_us: r.u64()? }
             }
-            tag::HEARTBEAT_ACK => {
-                let p = fixed::<40>(payload)?;
-                Ok(Message::HeartbeatAck {
-                    pipe: le_u32(&p[0..4]),
-                    round: le_u64(&p[4..12]),
-                    quorum: le_u32(&p[12..16]),
-                    members: le_u64(&p[16..24]),
-                    echo_tx_us: le_u64(&p[24..32]),
-                    t_server_us: le_u64(&p[32..40]),
-                })
-            }
+            tag::HEARTBEAT_ACK => Message::HeartbeatAck {
+                pipe: r.u32()?,
+                round: r.u64()?,
+                quorum: r.u32()?,
+                members: r.u64()?,
+                echo_tx_us: r.u64()?,
+                t_server_us: r.u64()?,
+            },
             tag::ROUND_INFO_REQUEST => {
-                let p = fixed::<12>(payload)?;
-                Ok(Message::RoundInfoRequest { shard: le_u32(&p[0..4]), round: le_u64(&p[4..12]) })
+                Message::RoundInfoRequest { shard: r.u32()?, round: r.u64()? }
             }
-            tag::ROUND_INFO_REPLY => {
-                let p = fixed::<25>(payload)?;
-                let known = match p[24] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(bad("RoundInfoReply known flag out of range")),
-                };
-                Ok(Message::RoundInfoReply {
-                    shard: le_u32(&p[0..4]),
-                    round: le_u64(&p[4..12]),
-                    quorum: le_u32(&p[12..16]),
-                    members: le_u64(&p[16..24]),
-                    known,
-                })
-            }
-            tag::METRICS_REQUEST => {
-                fixed::<0>(payload)?;
-                Ok(Message::MetricsRequest)
-            }
+            tag::ROUND_INFO_REPLY => Message::RoundInfoReply {
+                shard: r.u32()?,
+                round: r.u64()?,
+                quorum: r.u32()?,
+                members: r.u64()?,
+                known: flag(r.u8()?, "RoundInfoReply known")?,
+            },
+            tag::METRICS_REQUEST => Message::MetricsRequest,
             tag::METRICS_REPLY => {
-                let p = fixed::<{ METRICS_COUNTERS * 8 }>(payload)?;
                 let mut counters = [0u64; METRICS_COUNTERS];
-                for (i, c) in counters.iter_mut().enumerate() {
-                    *c = le_u64(&p[i * 8..i * 8 + 8]);
+                for c in &mut counters {
+                    *c = r.u64()?;
                 }
-                Ok(Message::MetricsReply { counters })
+                Message::MetricsReply { counters }
             }
-            tag::INFER => {
-                if payload.len() < 8 {
-                    return Err(bad("Infer shorter than its fixed fields"));
-                }
-                let input = decode_f32s_le(&payload[8..])
-                    .map_err(|e| FrameError::BadPayload(e.to_string()))?;
-                Ok(Message::Infer { id: le_u64(&payload[0..8]), input })
-            }
-            tag::INFER_REPLY => {
-                if payload.len() < 17 {
-                    return Err(bad("InferReply shorter than its fixed fields"));
-                }
-                let shed = match payload[16] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(bad("InferReply shed flag out of range")),
-                };
-                let output = decode_f32s_le(&payload[17..])
-                    .map_err(|e| FrameError::BadPayload(e.to_string()))?;
-                Ok(Message::InferReply {
-                    id: le_u64(&payload[0..8]),
-                    version: le_u64(&payload[8..16]),
-                    shed,
-                    output,
-                })
-            }
-            tag::SUBSCRIBE_WEIGHTS => {
-                let p = fixed::<4>(payload)?;
-                Ok(Message::SubscribeWeights { shard: le_u32(&p[0..4]) })
-            }
-            tag::WEIGHTS_UPDATE => {
-                if payload.len() < 12 {
-                    return Err(bad("WeightsUpdate shorter than its fixed fields"));
-                }
-                let weights = decode_f32s_le(&payload[12..])
-                    .map_err(|e| FrameError::BadPayload(e.to_string()))?;
-                Ok(Message::WeightsUpdate {
-                    shard: le_u32(&payload[0..4]),
-                    version: le_u64(&payload[4..12]),
-                    weights,
-                })
-            }
+            tag::INFER => Message::Infer { id: r.u64()?, input: f32s(r.rest())? },
+            tag::INFER_REPLY => Message::InferReply {
+                id: r.u64()?,
+                version: r.u64()?,
+                shed: flag(r.u8()?, "InferReply shed")?,
+                output: f32s(r.rest())?,
+            },
+            tag::SUBSCRIBE_WEIGHTS => Message::SubscribeWeights { shard: r.u32()? },
+            tag::WEIGHTS_UPDATE => Message::WeightsUpdate {
+                shard: r.u32()?,
+                version: r.u64()?,
+                weights: f32s(r.rest())?,
+            },
             tag::SUBMIT_DELTA_C => {
-                if payload.len() < 21 {
-                    return Err(bad("SubmitDeltaC shorter than its fixed fields"));
-                }
-                let codec = wire_codec(payload[16])?;
-                let n = le_u32(&payload[17..21]);
-                let blob = checked_blob(codec, n, &payload[21..])?;
-                Ok(Message::SubmitDeltaC {
-                    shard: le_u32(&payload[0..4]),
-                    round: le_u64(&payload[4..12]),
-                    pipe: le_u32(&payload[12..16]),
-                    codec,
-                    n,
-                    blob,
-                })
+                let (shard, round, pipe) = (r.u32()?, r.u64()?, r.u32()?);
+                let (codec, n, blob) = coded_tail(&mut r)?;
+                Message::SubmitDeltaC { shard, round, pipe, codec, n, blob }
             }
             tag::PULL_REPLY_C => {
-                if payload.len() < 17 {
-                    return Err(bad("PullReplyC shorter than its fixed fields"));
-                }
-                let codec = wire_codec(payload[12])?;
-                let n = le_u32(&payload[13..17]);
-                let blob = checked_blob(codec, n, &payload[17..])?;
-                Ok(Message::PullReplyC {
-                    shard: le_u32(&payload[0..4]),
-                    version: le_u64(&payload[4..12]),
-                    codec,
-                    n,
-                    blob,
-                })
+                let (shard, version) = (r.u32()?, r.u64()?);
+                let (codec, n, blob) = coded_tail(&mut r)?;
+                Message::PullReplyC { shard, version, codec, n, blob }
             }
             tag::WEIGHTS_UPDATE_C => {
-                if payload.len() < 17 {
-                    return Err(bad("WeightsUpdateC shorter than its fixed fields"));
-                }
-                let codec = wire_codec(payload[12])?;
-                let n = le_u32(&payload[13..17]);
-                let blob = checked_blob(codec, n, &payload[17..])?;
-                Ok(Message::WeightsUpdateC {
-                    shard: le_u32(&payload[0..4]),
-                    version: le_u64(&payload[4..12]),
-                    codec,
-                    n,
-                    blob,
-                })
+                let (shard, version) = (r.u32()?, r.u64()?);
+                let (codec, n, blob) = coded_tail(&mut r)?;
+                Message::WeightsUpdateC { shard, version, codec, n, blob }
             }
             tag::OPS_PUSH => {
-                if payload.len() < 17 {
-                    return Err(bad("OpsPush shorter than its fixed fields"));
-                }
-                let kind = payload[0];
+                let kind = r.u8()?;
                 if kind > OPS_KIND_METRICS {
-                    return Err(bad("OpsPush kind out of range"));
+                    return Err(FrameError::BadPayload("OpsPush kind out of range".into()));
                 }
-                Ok(Message::OpsPush {
-                    kind,
-                    seq: le_u64(&payload[1..9]),
-                    t_tx_us: le_u64(&payload[9..17]),
-                    blob: payload[17..].to_vec(),
-                })
+                Message::OpsPush { kind, seq: r.u64()?, t_tx_us: r.u64()?, blob: r.rest().to_vec() }
             }
             tag::OPS_ACK => {
-                let p = fixed::<24>(payload)?;
-                Ok(Message::OpsAck {
-                    seq: le_u64(&p[0..8]),
-                    echo_tx_us: le_u64(&p[8..16]),
-                    t_collector_us: le_u64(&p[16..24]),
-                })
+                Message::OpsAck { seq: r.u64()?, echo_tx_us: r.u64()?, t_collector_us: r.u64()? }
             }
-            other => Err(FrameError::UnknownType(other)),
-        }
+            other => return Err(FrameError::UnknownType(other)),
+        };
+        r.done()?;
+        Ok(msg)
     }
 
     /// Approximate payload size in bytes, for counters and buffer sizing.
@@ -712,20 +574,29 @@ impl Message {
     }
 }
 
-fn fixed<const N: usize>(payload: &[u8]) -> Result<[u8; N], FrameError> {
-    payload.try_into().map_err(|_| {
-        FrameError::BadPayload(format!("expected {N}-byte payload, got {}", payload.len()))
-    })
+fn f32s(bytes: &[u8]) -> Result<Vec<f32>, FrameError> {
+    decode_f32s_le(bytes).map_err(|e| FrameError::BadPayload(e.to_string()))
+}
+
+fn flag(byte: u8, what: &str) -> Result<bool, FrameError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(FrameError::BadPayload(format!("{what} flag out of range"))),
+    }
 }
 
 fn wire_codec(id: u8) -> Result<Codec, FrameError> {
     Codec::from_wire(id).map_err(|e| FrameError::BadPayload(e.to_string()))
 }
 
-/// Validates that `bytes` is structurally exactly one `codec` encoding of
-/// `n` dense elements (so truncated or padded blobs are rejected at the
-/// frame layer, before any pooled allocation).
-fn checked_blob(codec: Codec, n: u32, bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+/// The `codec · n · blob` tail of the three compressed messages. The blob
+/// must be structurally exactly one `codec` encoding of `n` dense
+/// elements, so truncated or padded blobs are rejected at the frame
+/// layer, before any pooled allocation.
+fn coded_tail(r: &mut Reader) -> Result<(Codec, u32, Vec<u8>), FrameError> {
+    let (codec, n) = (wire_codec(r.u8()?)?, r.u32()?);
+    let bytes = r.rest();
     let expected = codec.encoded_len(n as usize);
     if bytes.len() != expected {
         return Err(FrameError::BadPayload(format!(
@@ -734,19 +605,7 @@ fn checked_blob(codec: Codec, n: u32, bytes: &[u8]) -> Result<Vec<u8>, FrameErro
             bytes.len(),
         )));
     }
-    Ok(bytes.to_vec())
-}
-
-fn le_u16(b: &[u8]) -> u16 {
-    u16::from_le_bytes(b.try_into().unwrap())
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().unwrap())
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().unwrap())
+    Ok((codec, n, bytes.to_vec()))
 }
 
 #[cfg(test)]
@@ -850,6 +709,122 @@ mod tests {
             blob: vec![],
         });
         roundtrip(Message::OpsAck { seq: 5, echo_tx_us: 1_000_001, t_collector_us: 2_000_002 });
+    }
+
+    /// One message of every tag, distinct non-zero values in every field.
+    fn golden_messages() -> Vec<Message> {
+        let mut counters = [0u64; METRICS_COUNTERS];
+        for (i, c) in counters.iter_mut().enumerate() {
+            *c = 0x0101_0101_0101_0101 * (i as u64 + 1);
+        }
+        vec![
+            Message::Hello { proto: 0x0403, pipe: 0x0A0B_0C0D, codec: Codec::Int8 },
+            Message::HelloAck {
+                proto: 0x0403,
+                n_shards: 8,
+                n_pipelines: 0x0102_0304,
+                codec: Codec::TopK,
+                shard_base: 4,
+                shard_count: 3,
+            },
+            Message::PullRequest { shard: 2, version: 0x1122_3344_5566_7788 },
+            Message::PullReply { shard: 1, version: 7, weights: vec![1.5, -2.25, 0.0] },
+            Message::SubmitDelta { shard: 1, round: 9, pipe: 2, delta: vec![0.125, -1.0] },
+            Message::Ack { shard: 1, round: 9, pipe: 2, duplicate: true },
+            Message::Heartbeat { pipe: 3, round: 17, t_tx_us: 123_456_789 },
+            Message::HeartbeatAck {
+                pipe: 3,
+                round: 17,
+                quorum: 2,
+                members: 0b101,
+                echo_tx_us: 123_456_789,
+                t_server_us: 123_500_000,
+            },
+            Message::RoundInfoRequest { shard: 1, round: 5 },
+            Message::RoundInfoReply { shard: 1, round: 5, quorum: 3, members: 0b1011, known: true },
+            Message::MetricsRequest,
+            Message::MetricsReply { counters },
+            Message::Infer { id: 77, input: vec![0.5, -1.5, 3.0] },
+            Message::InferReply { id: 77, version: 12, shed: false, output: vec![9.0, 0.25] },
+            Message::SubscribeWeights { shard: 3 },
+            Message::WeightsUpdate { shard: 3, version: 41, weights: vec![0.25, -0.5] },
+            Message::SubmitDeltaC {
+                shard: 1,
+                round: 9,
+                pipe: 2,
+                codec: Codec::F16,
+                n: 2,
+                blob: vec![0xDE, 0xAD, 0xBE, 0xEF],
+            },
+            Message::PullReplyC {
+                shard: 0,
+                version: 7,
+                codec: Codec::F16,
+                n: 1,
+                blob: vec![0x12, 0x34],
+            },
+            Message::WeightsUpdateC {
+                shard: 2,
+                version: 41,
+                codec: Codec::F32,
+                n: 1,
+                blob: vec![1, 2, 3, 4],
+            },
+            Message::OpsPush {
+                kind: OPS_KIND_METRICS,
+                seq: 5,
+                t_tx_us: 1_000_001,
+                blob: vec![1, 2, 3, 4, 5],
+            },
+            Message::OpsAck { seq: 5, echo_tx_us: 1_000_001, t_collector_us: 2_000_002 },
+        ]
+    }
+
+    /// Payload bytes of [`golden_messages`], captured from the encoder as
+    /// it stood before decoding moved onto [`Reader`] (commit e1742d7):
+    /// the wire is pinned byte for byte, not merely self-consistent.
+    const GOLDEN: [(u8, &str); MAX_TAG as usize] = [
+        (1, "03040d0c0b0a02"),
+        (2, "03040800000004030201030400000003000000"),
+        (3, "020000008877665544332211"),
+        (4, "0100000007000000000000000000c03f000010c000000000"),
+        (5, "010000000900000000000000020000000000003e000080bf"),
+        (6, "0100000009000000000000000200000001"),
+        (7, "03000000110000000000000015cd5b0700000000"),
+        (8, "03000000110000000000000002000000050000000000000015cd5b0700000000e0755c0700000000"),
+        (9, "010000000500000000000000"),
+        (10, "010000000500000000000000030000000b0000000000000001"),
+        (11, ""),
+        (
+            12,
+            "0101010101010101020202020202020203030303030303030404040404040404\
+             0505050505050505060606060606060607070707070707070808080808080808\
+             09090909090909090a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0c0c0c0c0c0c0c0c\
+             0d0d0d0d0d0d0d0d",
+        ),
+        (13, "4d000000000000000000003f0000c0bf00004040"),
+        (14, "4d000000000000000c0000000000000000000010410000803e"),
+        (15, "03000000"),
+        (16, "0300000029000000000000000000803e000000bf"),
+        (17, "010000000900000000000000020000000102000000deadbeef"),
+        (18, "00000000070000000000000001010000001234"),
+        (19, "020000002900000000000000000100000001020304"),
+        (20, "01050000000000000041420f00000000000102030405"),
+        (21, "050000000000000041420f000000000082841e0000000000"),
+    ];
+
+    #[test]
+    fn golden_bytes_encode_and_decode_for_every_tag() {
+        let messages = golden_messages();
+        assert_eq!(messages.len(), GOLDEN.len());
+        for (i, (msg, (ty, hex))) in messages.iter().zip(GOLDEN).enumerate() {
+            assert_eq!((msg.wire_type(), ty), (i as u8 + 1, i as u8 + 1), "one message per tag");
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
+            let got: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{} encodes differently", msg.name());
+            assert_eq!(&Message::decode_payload(ty, &payload).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! Wire blobs for `OpsPush`: compact, self-describing encodings of a
 //! drained trace batch and a metrics-registry snapshot.
 //!
-//! Layout conventions: little-endian fixed-width integers, strings as
-//! `u32` length + UTF-8 bytes. A trace batch deduplicates span/thread/
-//! category names through a string table — rings drain thousands of
-//! events but only a handful of distinct names, so the table cuts the
-//! per-event cost to six fixed words plus two `u32` indices.
+//! Layout conventions are the wire's: little-endian fixed-width
+//! integers, strings as `u32` length + UTF-8 bytes ([`put_str`]), read
+//! back through the one bounds-checked cursor ([`Reader`]), so a length
+//! field in a malformed blob can never force a large allocation. A
+//! trace batch deduplicates span/thread/category names through a string
+//! table — rings drain thousands of events but only a handful of
+//! distinct names, so the table cuts the per-event cost to six fixed
+//! words plus two `u32` indices.
 //!
-//! Each trace blob also carries the sender's **clock header**: its
-//! process name, a pair of timestamps sampled back-to-back from the
-//! trace epoch ([`ea_trace::now_us`]) and the comms clock
-//! ([`ea_comms::clock::now_us`]), and the sender's current NTP offset
-//! to the collector (if one has been estimated). The collector uses
-//! the pair to convert trace-epoch event times into the comms-clock
-//! domain, then the offset to shift them onto its own clock — see
-//! [`crate::fleet`].
+//! Each trace blob also carries the sender's process name and its
+//! current NTP offset to the collector (if one has been estimated).
+//! Event times are readings of the sender's one process clock
+//! ([`ea_comms::clock::now_us`]); the collector adds the offset to shift
+//! them onto its own clock — see [`crate::fleet`].
 
+use ea_comms::frame::{put_str, FrameError, Reader};
 use ea_trace::{HistogramSnapshot, RegistrySnapshot, TraceEvent};
 
 /// A trace event with owned name strings, as decoded from a blob
@@ -31,7 +32,7 @@ pub struct OwnedEvent {
     pub thread: String,
     /// Stable per-process thread ordinal.
     pub tid: u32,
-    /// Start, µs — sender trace epoch until [`crate::fleet`] aligns it.
+    /// Start, µs — sender's clock until [`crate::fleet`] aligns it.
     pub t0_us: u64,
     /// End, µs.
     pub t1_us: u64,
@@ -53,10 +54,6 @@ impl OwnedEvent {
 pub struct TraceBatch {
     /// Sender's process name (e.g. `server0`, `worker2`).
     pub process: String,
-    /// Comms-clock reading taken together with `trace_now_us`.
-    pub clock_now_us: u64,
-    /// Trace-epoch reading taken together with `clock_now_us`.
-    pub trace_now_us: u64,
     /// Sender's estimated offset to the collector clock (µs, collector
     /// minus sender), if at least one `OpsAck` round trip completed.
     pub offset_us: Option<i64>,
@@ -73,65 +70,8 @@ pub struct MetricsBatch {
     pub snapshot: RegistrySnapshot,
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| format!("blob truncated at byte {}", self.at))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        // A single length field must not force a huge allocation on a
-        // malformed blob; the take() below bounds it by the buffer.
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
-    }
-
-    fn done(&self) -> Result<(), String> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing bytes after blob", self.buf.len() - self.at))
-        }
-    }
-}
-
 /// Encodes a drained trace batch (`kind = OPS_KIND_TRACE`).
-pub fn encode_trace(
-    process: &str,
-    clock_now_us: u64,
-    trace_now_us: u64,
-    offset_us: Option<i64>,
-    events: &[TraceEvent],
-) -> Vec<u8> {
+pub fn encode_trace(process: &str, offset_us: Option<i64>, events: &[TraceEvent]) -> Vec<u8> {
     // Names repeat constantly; keep the table tiny and stable.
     let mut strings: Vec<String> = Vec::new();
     let mut index: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
@@ -152,8 +92,6 @@ pub fn encode_trace(
 
     let mut out = Vec::with_capacity(64 + events.len() * 46);
     put_str(&mut out, process);
-    out.extend_from_slice(&clock_now_us.to_le_bytes());
-    out.extend_from_slice(&trace_now_us.to_le_bytes());
     out.push(offset_us.is_some() as u8);
     out.extend_from_slice(&offset_us.unwrap_or(0).to_le_bytes());
     out.extend_from_slice(&(strings.len() as u32).to_le_bytes());
@@ -176,25 +114,27 @@ pub fn encode_trace(
 
 /// Decodes a trace blob. Rejects truncation, bad UTF-8, out-of-range
 /// string indices and trailing garbage — collector input is untrusted.
-pub fn decode_trace(blob: &[u8]) -> Result<TraceBatch, String> {
-    let mut r = Reader { buf: blob, at: 0 };
+pub fn decode_trace(blob: &[u8]) -> Result<TraceBatch, FrameError> {
+    let bad = FrameError::BadPayload;
+    let mut r = Reader::new(blob);
     let process = r.str()?;
-    let clock_now_us = r.u64()?;
-    let trace_now_us = r.u64()?;
     let has_offset = r.u8()?;
     let raw_offset = r.i64()?;
     let offset_us = match has_offset {
         0 => None,
         1 => Some(raw_offset),
-        v => return Err(format!("bad offset flag {v}")),
+        v => return Err(bad(format!("bad offset flag {v}"))),
     };
     let n_strings = r.u32()? as usize;
     let mut strings = Vec::with_capacity(n_strings.min(1024));
     for _ in 0..n_strings {
         strings.push(r.str()?);
     }
-    let lookup = |ix: u32| -> Result<String, String> {
-        strings.get(ix as usize).cloned().ok_or_else(|| format!("string index {ix} out of range"))
+    let lookup = |ix: u32| {
+        strings
+            .get(ix as usize)
+            .cloned()
+            .ok_or_else(|| bad(format!("string index {ix} out of range")))
     };
     let n_events = r.u32()? as usize;
     let mut events = Vec::with_capacity(n_events.min(65_536));
@@ -215,7 +155,7 @@ pub fn decode_trace(blob: &[u8]) -> Result<TraceBatch, String> {
         });
     }
     r.done()?;
-    Ok(TraceBatch { process, clock_now_us, trace_now_us, offset_us, events })
+    Ok(TraceBatch { process, offset_us, events })
 }
 
 /// Encodes a registry snapshot (`kind = OPS_KIND_METRICS`). Histograms
@@ -252,8 +192,8 @@ pub fn encode_metrics(process: &str, snap: &RegistrySnapshot) -> Vec<u8> {
 
 /// Decodes a metrics blob (same hostility assumptions as
 /// [`decode_trace`]).
-pub fn decode_metrics(blob: &[u8]) -> Result<MetricsBatch, String> {
-    let mut r = Reader { buf: blob, at: 0 };
+pub fn decode_metrics(blob: &[u8]) -> Result<MetricsBatch, FrameError> {
+    let mut r = Reader::new(blob);
     let process = r.str()?;
     let mut snapshot =
         RegistrySnapshot { counters: Vec::new(), gauges: Vec::new(), histograms: Vec::new() };
@@ -276,8 +216,9 @@ pub fn decode_metrics(blob: &[u8]) -> Result<MetricsBatch, String> {
             let bucket = r.u32()?;
             pairs.push((bucket, r.u64()?));
         }
-        let h = HistogramSnapshot::from_sparse(&pairs, sum, min, max)
-            .ok_or_else(|| format!("histogram {name}: bucket index out of range"))?;
+        let h = HistogramSnapshot::from_sparse(&pairs, sum, min, max).ok_or_else(|| {
+            FrameError::BadPayload(format!("histogram {name}: bucket index out of range"))
+        })?;
         snapshot.histograms.push((name, h));
     }
     r.done()?;
@@ -305,11 +246,9 @@ mod tests {
     #[test]
     fn trace_blob_round_trips_with_string_table() {
         let events = vec![ev("pull", 100, 0), ev("submit", 200, 0xBEEF), ev("pull", 300, 7)];
-        let blob = encode_trace("worker3", 9999, 8888, Some(-1234), &events);
+        let blob = encode_trace("worker3", Some(-1234), &events);
         let batch = decode_trace(&blob).unwrap();
         assert_eq!(batch.process, "worker3");
-        assert_eq!(batch.clock_now_us, 9999);
-        assert_eq!(batch.trace_now_us, 8888);
         assert_eq!(batch.offset_us, Some(-1234));
         assert_eq!(batch.events.len(), 3);
         assert_eq!(batch.events[1].name, "submit");
@@ -320,7 +259,7 @@ mod tests {
 
     #[test]
     fn trace_blob_without_offset_round_trips() {
-        let blob = encode_trace("s0", 1, 2, None, &[]);
+        let blob = encode_trace("s0", None, &[]);
         let batch = decode_trace(&blob).unwrap();
         assert_eq!(batch.offset_us, None);
         assert!(batch.events.is_empty());
@@ -328,7 +267,7 @@ mod tests {
 
     #[test]
     fn truncated_and_trailing_blobs_are_rejected() {
-        let blob = encode_trace("w", 1, 2, None, &[ev("x", 5, 0)]);
+        let blob = encode_trace("w", None, &[ev("x", 5, 0)]);
         assert!(decode_trace(&blob[..blob.len() - 3]).is_err(), "truncation must fail");
         let mut padded = blob.clone();
         padded.push(0);

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use ea_comms::frame::PROTO_VERSION;
+use ea_comms::frame::{FrameError, PROTO_VERSION};
 use ea_comms::wire::{OPS_KIND_METRICS, OPS_KIND_TRACE};
 use ea_comms::{ConnId, Message, Outbox, Reactor, ReactorConfig, ReactorHandler};
 
@@ -91,14 +91,14 @@ impl ReactorHandler for OpsCollector {
                 // the exchange, not after an ingest delay that only the
                 // request half of the round trip pays.
                 let t_collector_us = ea_comms::clock::now_us();
-                let decoded: Result<(), String> = match kind {
+                let decoded = match kind {
                     OPS_KIND_TRACE => codec::decode_trace(&blob).map(|batch| {
                         self.state.lock().unwrap_or_else(|e| e.into_inner()).ingest_trace(batch)
                     }),
                     OPS_KIND_METRICS => codec::decode_metrics(&blob).map(|batch| {
                         self.state.lock().unwrap_or_else(|e| e.into_inner()).ingest_metrics(batch)
                     }),
-                    k => Err(format!("unknown push kind {k}")),
+                    k => Err(FrameError::BadPayload(format!("unknown push kind {k}"))),
                 };
                 match decoded {
                     Ok(()) => {

@@ -3,16 +3,12 @@
 //!
 //! # Clock model
 //!
-//! Event timestamps arrive in each sender's private *trace epoch*
-//! (µs since that process first recorded an event). Two hops move them
-//! onto the collector's clock:
-//!
-//! 1. **Epoch → comms clock.** Every trace blob carries a
-//!    `(clock_now_us, trace_now_us)` pair sampled back-to-back, so
-//!    `t_clock ≈ t_trace + (clock_now_us − trace_now_us)`.
-//! 2. **Comms clock → collector clock.** The pusher's NTP filter over
-//!    `OpsPush`/`OpsAck` round trips yields `offset_us` (collector
-//!    minus sender); adding it lands on the collector's clock.
+//! Event timestamps arrive on each sender's process clock
+//! ([`ea_comms::clock::now_us`] — spans and wire timestamps read the
+//! same epoch). One hop moves them onto the collector's clock: the
+//! pusher's NTP filter over `OpsPush`/`OpsAck` round trips yields
+//! `offset_us` (collector minus sender), and adding it lands on the
+//! collector's clock.
 //!
 //! Worker↔server skew is additionally measured on the heartbeat path
 //! (`ShardClient::clock_offset`), but the collector is the common
@@ -39,12 +35,8 @@ use crate::codec::{MetricsBatch, OwnedEvent, TraceBatch};
 pub struct ProcView {
     /// Synthetic pid for the Chrome export (arrival order, from 1).
     pub pid: u32,
-    /// Accumulated events, sender trace epoch.
+    /// Accumulated events, sender's clock.
     pub events: Vec<OwnedEvent>,
-    /// Latest clock header: comms-clock sample.
-    pub clock_now_us: u64,
-    /// Latest clock header: trace-epoch sample (taken with the above).
-    pub trace_now_us: u64,
     /// Latest reported offset to the collector (µs, collector − sender).
     pub offset_us: Option<i64>,
     /// Latest metrics snapshot.
@@ -54,11 +46,10 @@ pub struct ProcView {
 }
 
 impl ProcView {
-    /// Shift adding to a trace-epoch timestamp to express it on the
-    /// collector clock (missing offset ⇒ epoch conversion only).
+    /// Shift adding to a sender timestamp to express it on the
+    /// collector clock (no offset estimated yet ⇒ none applied).
     pub fn align_shift_us(&self) -> i64 {
-        let epoch = self.clock_now_us as i64 - self.trace_now_us as i64;
-        epoch + self.offset_us.unwrap_or(0)
+        self.offset_us.unwrap_or(0)
     }
 
     /// An event's start time on the collector clock.
@@ -104,8 +95,6 @@ impl FleetState {
     /// Folds one decoded trace push into the fleet.
     pub fn ingest_trace(&mut self, batch: TraceBatch) {
         let p = self.proc_mut(&batch.process);
-        p.clock_now_us = batch.clock_now_us;
-        p.trace_now_us = batch.trace_now_us;
         if batch.offset_us.is_some() {
             p.offset_us = batch.offset_us;
         }
@@ -263,62 +252,8 @@ fn split_pipe_family(name: &str) -> (String, String) {
 mod tests {
     use super::*;
 
-    fn ev(name: &str, t0: u64, ctx: u64) -> OwnedEvent {
-        OwnedEvent {
-            name: name.into(),
-            cat: 1,
-            thread: "main".into(),
-            tid: 1,
-            t0_us: t0,
-            t1_us: t0 + 50,
-            arg: 0,
-            ctx,
-        }
-    }
-
-    fn batch(
-        process: &str,
-        clock_now: u64,
-        offset: Option<i64>,
-        events: Vec<OwnedEvent>,
-    ) -> TraceBatch {
-        TraceBatch {
-            process: process.into(),
-            clock_now_us: clock_now,
-            trace_now_us: 0,
-            offset_us: offset,
-            events,
-        }
-    }
-
-    #[test]
-    fn merged_trace_aligns_each_process_onto_the_collector_clock() {
-        let mut fleet = FleetState::new();
-        // worker clock runs 1000µs behind the collector; server is
-        // exactly aligned. Both observed the same exchange (ctx 77):
-        // the worker submit *started* (collector time 1500) before the
-        // server apply (collector time 1600).
-        fleet.ingest_trace(batch("worker0", 0, Some(1000), vec![ev("submit", 500, 77)]));
-        fleet.ingest_trace(batch("server0", 0, Some(0), vec![ev("submit", 1600, 77)]));
-        let json = fleet.chrome_trace();
-        let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        let events = doc["traceEvents"].as_array().unwrap();
-        let spans: Vec<&serde_json::Value> =
-            events.iter().filter(|e| e["ph"] == "X" && e["name"] == "submit").collect();
-        assert_eq!(spans.len(), 2);
-        let by_pid = |pid: u64| spans.iter().find(|s| s["pid"] == pid).unwrap();
-        let names: Vec<&str> = events
-            .iter()
-            .filter(|e| e["name"] == "process_name")
-            .map(|e| e["args"]["name"].as_str().unwrap())
-            .collect();
-        assert!(names.contains(&"worker0") && names.contains(&"server0"));
-        // worker0 arrived first → pid 1; its 500µs local start lands at
-        // 1500 collector-µs, before the server's 1600.
-        assert_eq!(by_pid(1)["ts"], 1500);
-        assert_eq!(by_pid(2)["ts"], 1600);
-        assert_eq!(by_pid(1)["args"]["ctx"], 77);
-        assert_eq!(by_pid(2)["args"]["ctx"], 77);
+    fn batch(process: &str, offset: Option<i64>, events: Vec<OwnedEvent>) -> TraceBatch {
+        TraceBatch { process: process.into(), offset_us: offset, events }
     }
 
     #[test]
@@ -362,9 +297,9 @@ mod tests {
     #[test]
     fn pids_are_stable_across_repeated_pushes() {
         let mut fleet = FleetState::new();
-        fleet.ingest_trace(batch("w", 0, None, vec![]));
-        fleet.ingest_trace(batch("s", 0, None, vec![]));
-        fleet.ingest_trace(batch("w", 0, None, vec![]));
+        fleet.ingest_trace(batch("w", None, vec![]));
+        fleet.ingest_trace(batch("s", None, vec![]));
+        fleet.ingest_trace(batch("w", None, vec![]));
         assert_eq!(fleet.procs()["w"].pid, 1);
         assert_eq!(fleet.procs()["s"].pid, 2);
         assert_eq!(fleet.procs()["w"].pushes, 2);

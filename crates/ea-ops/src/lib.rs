@@ -16,7 +16,7 @@
 //! * [`pusher`] — [`pusher::OpsPusher`]: a background thread in every
 //!   process that drains the local trace rings and snapshots the
 //!   metrics registry, ships them to a collector as `OpsPush` wire
-//!   messages (tags 20–21, protocol v3), and NTP-filters the
+//!   messages (tags 20–21), and NTP-filters the
 //!   `OpsAck` timestamps into a clock-offset estimate
 //!   ([`ea_comms::clock::OffsetEstimator`]).
 //! * [`collector`] — the receiving [`ea_comms::ReactorHandler`]: acks

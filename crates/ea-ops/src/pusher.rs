@@ -7,8 +7,7 @@
 //!
 //! 1. drains [`ea_trace::drain`] (feeding the optional
 //!    [`FlightRecorder`] on the way),
-//! 2. samples the trace epoch and the comms clock back-to-back and
-//!    encodes the batch with the current collector offset
+//! 2. encodes the batch with the current collector offset
 //!    ([`crate::codec::encode_trace`]),
 //! 3. sends `OpsPush` and waits for the `OpsAck`, whose echoed
 //!    transmit time and collector receive time feed the
@@ -225,11 +224,8 @@ fn run(
         }
 
         if let Some(t) = transport.as_mut() {
-            let trace_now_us = ea_trace::now_us();
-            let clock_now_us = ea_comms::clock::now_us();
             let offset_us = shared.offset.lock().unwrap_or_else(|e| e.into_inner()).offset_us();
-            let blob =
-                codec::encode_trace(&cfg.process, clock_now_us, trace_now_us, offset_us, &pending);
+            let blob = codec::encode_trace(&cfg.process, offset_us, &pending);
             seq += 1;
             match push_blob(t, &shared, OPS_KIND_TRACE, seq, blob) {
                 Ok(()) => {

@@ -1,20 +1,13 @@
 //! The runtime's shared error type.
 //!
-//! Malformed input — a corrupt checkpoint, a bad peer submitting the
-//! wrong-sized delta, a duplicate submission — must surface as `Err`, not
-//! a panic: the transport layer rejects bad frames gracefully and a wrong
-//! message from one worker cannot abort training for everyone else.
+//! Malformed input — a bad peer submitting the wrong-sized delta, a
+//! duplicate submission — must surface as `Err`, not a panic: the
+//! transport layer rejects bad frames gracefully and a wrong message from
+//! one worker cannot abort training for everyone else.
 
 /// A recoverable runtime error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Error {
-    /// A checkpoint's stage count does not match the target model.
-    StageCountMismatch {
-        /// Stages in the checkpoint.
-        checkpoint: usize,
-        /// Stages in the model.
-        model: usize,
-    },
     /// A flat parameter/update buffer has the wrong length.
     LengthMismatch {
         /// What the buffer was for (e.g. `"stage 2 params"`).
@@ -69,11 +62,6 @@ pub enum Error {
         /// The shard version at which quorum was lost.
         round: u64,
     },
-    /// A checkpoint file is torn, truncated, or fails its checksum.
-    CorruptCheckpoint {
-        /// What the validation found.
-        why: String,
-    },
     /// Shutdown was requested while the worker was mid-retry; the round
     /// was abandoned cleanly (no partial submission).
     ShutdownRequested,
@@ -82,9 +70,6 @@ pub enum Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::StageCountMismatch { checkpoint, model } => {
-                write!(f, "checkpoint has {checkpoint} stages, model has {model}")
-            }
             Error::LengthMismatch { what, expected, got } => {
                 write!(f, "{what}: expected {expected} elements, got {got}")
             }
@@ -105,9 +90,6 @@ impl std::fmt::Display for Error {
             }
             Error::QuorumLost { live, round } => {
                 write!(f, "quorum lost at round {round}: {live} live member(s) remain")
-            }
-            Error::CorruptCheckpoint { why } => {
-                write!(f, "corrupt checkpoint: {why}")
             }
             Error::ShutdownRequested => {
                 write!(f, "shutdown requested during retry backoff")
@@ -137,10 +119,6 @@ mod tests {
                 Error::QuorumLost { live: 1, round: 4 },
                 "quorum lost at round 4: 1 live member(s) remain",
             ),
-            (
-                Error::CorruptCheckpoint { why: "checksum mismatch".into() },
-                "corrupt checkpoint: checksum mismatch",
-            ),
         ];
         for (err, want) in cases {
             assert_eq!(err.to_string(), want);
@@ -149,10 +127,6 @@ mod tests {
 
     #[test]
     fn display_covers_the_seed_variants() {
-        assert_eq!(
-            Error::StageCountMismatch { checkpoint: 2, model: 3 }.to_string(),
-            "checkpoint has 2 stages, model has 3"
-        );
         assert_eq!(
             Error::DuplicateSubmit { pipe: 0, round: 1 }.to_string(),
             "pipeline 0 submitted twice in round 1"

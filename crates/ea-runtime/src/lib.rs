@@ -41,7 +41,6 @@
 mod checkpoint;
 mod elastic;
 mod error;
-mod json;
 mod membership;
 mod metrics;
 mod reactor_server;
@@ -50,7 +49,7 @@ mod server;
 mod supervisor;
 mod threaded;
 
-pub use checkpoint::{Checkpoint, RefCheckpoint};
+pub use checkpoint::RefCheckpoint;
 pub use elastic::{
     ElasticTrainer, ErrorFeedback, LocalShards, RefShard, RoundRecord, SubmitOutcome,
 };

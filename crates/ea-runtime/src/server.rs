@@ -1397,7 +1397,7 @@ mod tests {
     fn checkpoints_skip_mid_round_state_and_restore_at_the_recorded_round() {
         let dir = std::env::temp_dir().join("avgpipe_server_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ref.json");
+        let path = dir.join("ref.ckpt");
         {
             let server = RefShardServer::from_initial_weights(vec![vec![0.0], vec![0.0]], 1);
             // Shard versions disagree (1 vs 0): skipped, not torn.

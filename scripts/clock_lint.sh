@@ -2,14 +2,17 @@
 # Clock-abstraction lint for the elastic protocol code.
 #
 # The ea-chaos simulation harness can only control time in code that
-# reads it through ea_comms::clock (now / sleep / Waiter). This script
+# reads it through the one clock seam (ea_trace::clock, re-exported as
+# ea_comms::clock next to Waiter and OffsetEstimator). This script
 # fails if any *protocol* source file reaches for the wall clock
 # directly — Instant::now, SystemTime::now, or thread::sleep — outside
 # its #[cfg(test)] module. Test modules are exempt (they drive real
 # threads); so are the files on the allowlist below, which are OS-real
 # by design:
 #
-#   ea-comms/src/clock.rs        the abstraction itself
+#   ea-trace/src/clock.rs        the seam itself (the only Instant::now
+#                                in ea-trace)
+#   ea-comms/src/clock.rs        Waiter: real condvar waits for real threads
 #   ea-comms/src/conn.rs         socket idle bookkeeping (kernel-adjacent)
 #   ea-comms/src/reactor_*.rs    the event loops: poll timeouts are tied
 #                                to real epoll_wait
@@ -36,6 +39,8 @@ protocol_files=(
   crates/ea-comms/src/tcp.rs
   crates/ea-comms/src/wire.rs
   crates/ea-comms/src/frame.rs
+  crates/ea-ops/src/pusher.rs
+  crates/ea-ops/src/collector.rs
 )
 
 status=0
