@@ -22,6 +22,8 @@
 
 use std::io::{Read, Write};
 
+pub use crate::crc::crc32;
+
 /// Frame magic: "EAC1" (Elastic-Averaging Comms, format 1).
 pub const MAGIC: [u8; 4] = *b"EAC1";
 
@@ -81,33 +83,6 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-/// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup table,
-/// generated at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// Encodes one frame (header + payload + CRC) into `out`, which is
 /// cleared first so one scratch buffer serves every send.

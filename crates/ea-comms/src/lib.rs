@@ -37,6 +37,7 @@ pub(crate) mod bytepool;
 pub mod client;
 pub mod clock;
 pub(crate) mod conn;
+mod crc;
 pub mod fault;
 pub mod frame;
 pub mod loopback;
@@ -54,7 +55,8 @@ pub use client::{
 pub use clock::{Clock, ClockGuard, OffsetEstimator, Waiter};
 pub use ea_optim::Codec;
 pub use fault::{ChaosConfig, FaultConfig, FaultStats, FaultyTransport};
-pub use frame::{crc32, FrameError, PROTO_VERSION};
+pub use crc::crc32;
+pub use frame::{FrameError, PROTO_VERSION};
 pub use loopback::{loopback_pair, LoopbackTransport};
 pub use reactor::{
     ConnId, DisconnectReason, Outbox, Reactor, ReactorConfig, ReactorHandler, ReactorWaker,
