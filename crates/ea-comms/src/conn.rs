@@ -6,12 +6,17 @@
 //! [`Conn::read_message`] when the socket is readable and [`Conn::flush`]
 //! when it is writable, and neither ever parks a thread.
 //!
-//! Zero-copy assembly: the fixed 12-byte header lands in an inline array;
-//! once validated, one pooled buffer of exactly `payload_len + 4` bytes is
-//! taken from [`crate::bytepool`] and `read(2)` writes payload and CRC
-//! trailer directly into it. The payload is never memmoved between a
-//! socket buffer and the decode buffer — `Message::decode_payload` reads
-//! straight out of the pooled allocation, which is then recycled.
+//! One buffer per frame, both ways. Inbound, the fixed 12-byte header
+//! lands in an inline array; once validated, one pooled buffer from
+//! [`crate::bytepool`] receives payload and CRC trailer straight from
+//! `read(2)` — sized to the frame when it is at most
+//! [`frame::BODY_GROW`], and otherwise grown no further than that ahead
+//! of the bytes received — and `Message::decode_payload` reads out of it
+//! before it is recycled. Outbound, the message is serialized in place
+//! into one pooled buffer (header, payload, CRC contiguous), which is
+//! queued as it is and written with as few `write(2)`s as the socket
+//! allows. No payload is copied between a scratch buffer and its frame
+//! in either direction.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -27,8 +32,9 @@ use crate::wire::Message;
 enum Phase {
     /// Filling the 12-byte fixed header.
     Header,
-    /// Filling `body` (payload + 4-byte CRC trailer) for a validated header.
-    Body { msg_type: u8 },
+    /// Filling `body` with the `target` bytes (payload + 4-byte CRC
+    /// trailer) a validated header announced.
+    Body { msg_type: u8, target: usize },
 }
 
 /// One multiplexed connection: socket, inbound decoder state, outbound
@@ -39,7 +45,7 @@ pub(crate) struct Conn {
     header: [u8; HEADER_LEN],
     /// Bytes filled so far in the current phase's target buffer.
     filled: usize,
-    /// Pooled buffer for payload + CRC; sized when the header validates.
+    /// Pooled buffer for payload + CRC; taken when the header validates.
     body: Vec<u8>,
     /// Fully-encoded frames awaiting the socket, front partially written.
     outq: VecDeque<Vec<u8>>,
@@ -114,12 +120,16 @@ impl Conn {
                     }
                     let (msg_type, len) =
                         frame::parse_header(&self.header).map_err(DisconnectReason::Frame)?;
-                    self.body = bytepool::take(len + 4);
+                    let target = len + 4;
+                    self.body = bytepool::take(target.min(frame::BODY_GROW));
                     self.filled = 0;
-                    self.phase = Phase::Body { msg_type };
+                    self.phase = Phase::Body { msg_type, target };
                 }
-                Phase::Body { msg_type } => {
-                    while self.filled < self.body.len() {
+                Phase::Body { msg_type, target } => {
+                    while self.filled < target {
+                        if self.filled == self.body.len() {
+                            self.body.resize(target.min(self.filled + frame::BODY_GROW), 0);
+                        }
                         match self.stream.read(&mut self.body[self.filled..]) {
                             Ok(0) => {
                                 return Err(DisconnectReason::Frame(FrameError::Truncated));
@@ -132,7 +142,7 @@ impl Conn {
                             Err(e) => return Err(DisconnectReason::Io(e)),
                         }
                     }
-                    let len = self.body.len() - 4;
+                    let len = target - 4;
                     let expected = u32::from_le_bytes(self.body[len..].try_into().unwrap());
                     let got = frame::crc32(&self.body[..len]);
                     if expected != got {
@@ -155,11 +165,12 @@ impl Conn {
         }
     }
 
-    /// Encodes `msg` into a pooled frame buffer and queues it. Large
-    /// payload vectors (weights, deltas) are recycled to the tensor pool
-    /// once serialized, mirroring `TcpTransport::send`.
-    pub(crate) fn enqueue(&mut self, msg: Message, payload_scratch: &mut Vec<u8>) {
-        msg.encode_payload(payload_scratch);
+    /// Encodes `msg` in place into a pooled frame buffer and queues it.
+    /// Large payload vectors (weights, deltas) are recycled to the tensor
+    /// pool once serialized, mirroring `TcpTransport::send`.
+    pub(crate) fn enqueue(&mut self, msg: Message) {
+        let mut buf = bytepool::take_empty(HEADER_LEN + msg.payload_len() + 4);
+        msg.encode_frame(&mut buf);
         let ty = msg.wire_type();
         let logical = msg.logical_weight_bytes() as u64;
         match msg {
@@ -172,8 +183,6 @@ impl Conn {
             | Message::WeightsUpdateC { blob, .. } => bytepool::recycle(blob),
             _ => {}
         }
-        let mut buf = bytepool::take_empty(HEADER_LEN + payload_scratch.len() + 4);
-        frame::encode_frame(ty, payload_scratch, &mut buf);
         crate::trace::counters().on_send_msg(ty, buf.len() as u64, logical);
         self.out_bytes += buf.len();
         self.outq.push_back(buf);
@@ -313,14 +322,96 @@ mod tests {
         }
     }
 
+    /// Polls `conn` until it yields something other than "would block".
+    fn read_until_settled(conn: &mut Conn) -> Result<Message, DisconnectReason> {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            match conn.read_message() {
+                Ok(Some(msg)) => return Ok(msg),
+                Ok(None) => assert!(Instant::now() < deadline, "nothing arrived"),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_in_a_2k_frame_fails_crc() {
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        for (bit, bad) in frame::tests::bit_flips_of_a_2k_frame() {
+            // A fresh decoder over the same socket: each corrupt frame is
+            // consumed whole before it is judged, so the stream stays at a
+            // frame boundary.
+            let mut conn = Conn::new(server.try_clone().unwrap(), 0);
+            client.write_all(&bad).unwrap();
+            match read_until_settled(&mut conn) {
+                Err(DisconnectReason::Frame(FrameError::BadCrc { .. })) => {}
+                other => panic!("bit {bit}: expected BadCrc, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_alone_cannot_reserve_the_length_it_claims() {
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(server, 0);
+        let mut header = Vec::new();
+        frame::encode_frame(1, b"", &mut header);
+        header.truncate(HEADER_LEN);
+        header[8..12].copy_from_slice(&(frame::MAX_PAYLOAD as u32).to_le_bytes());
+        client.write_all(&header).unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !matches!(conn.phase, Phase::Body { .. }) {
+            assert!(matches!(conn.read_message(), Ok(None)), "a stalled frame is not an error");
+            assert!(Instant::now() < deadline, "header never arrived");
+        }
+        assert!(matches!(conn.read_message(), Ok(None)));
+        assert!(
+            conn.body.capacity() <= frame::BODY_GROW + 4096,
+            "holding {} bytes for a peer that sent 12",
+            conn.body.capacity()
+        );
+    }
+
+    #[test]
+    fn a_3_mib_frame_in_odd_sized_writes_still_decodes() {
+        let msg = Message::OpsPush {
+            kind: crate::wire::OPS_KIND_TRACE,
+            seq: 3,
+            t_tx_us: 4,
+            blob: (0..3u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect(),
+        };
+        let mut wire = Vec::new();
+        msg.encode_frame(&mut wire);
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(server, 0);
+        let writer = std::thread::spawn(move || {
+            let mut rest = wire.as_slice();
+            for size in [1usize, 7919, 3, 65_537, 1_048_583].into_iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (now, later) = rest.split_at(size.min(rest.len()));
+                client.write_all(now).unwrap();
+                rest = later;
+            }
+            client
+        });
+        let got = read_until_settled(&mut conn).expect("frame decodes");
+        assert!(got == msg, "message differs");
+        let _client = writer.join().unwrap();
+        assert!(matches!(conn.read_message(), Ok(None)), "exactly one frame consumed");
+    }
+
     #[test]
     fn flush_tracks_partial_writes_and_drains() {
         let (client, server) = pair();
         server.set_nonblocking(true).unwrap();
         let mut conn = Conn::new(server, 0);
-        let mut scratch = Vec::new();
         for round in 0..3 {
-            conn.enqueue(Message::Ack { shard: 0, round, pipe: 0, duplicate: false }, &mut scratch);
+            conn.enqueue(Message::Ack { shard: 0, round, pipe: 0, duplicate: false });
         }
         let queued = conn.queued_bytes();
         assert!(queued > 0);

@@ -20,8 +20,9 @@
 //! decoded. A frame that fails any check is an error, never a panic: a bad
 //! peer must not be able to abort training.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
+use crate::bytepool;
 pub use crate::crc::crc32;
 
 /// Frame magic: "EAC1" (Elastic-Averaging Comms, format 1).
@@ -87,16 +88,32 @@ impl std::error::Error for FrameError {}
 /// Encodes one frame (header + payload + CRC) into `out`, which is
 /// cleared first so one scratch buffer serves every send.
 pub fn encode_frame(msg_type: u8, payload: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
     out.clear();
     out.reserve(HEADER_LEN + payload.len() + 4);
+    encode_frame_with(msg_type, out, |out| out.extend_from_slice(payload));
+}
+
+/// Encodes one frame in place: the header goes into `out` (cleared first)
+/// with a length placeholder, `append_payload` appends the payload bytes
+/// directly behind it, then the length is patched and the CRC appended.
+/// The frame is one contiguous buffer, ready for a single `write`.
+pub(crate) fn encode_frame_with(
+    msg_type: u8,
+    out: &mut Vec<u8>,
+    append_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    out.clear();
     out.extend_from_slice(&MAGIC);
     out.push(PROTO_VERSION);
     out.push(msg_type);
     out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
+    append_payload(out);
+    let len = out.len() - HEADER_LEN;
+    debug_assert!(len <= MAX_PAYLOAD);
+    out[8..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[HEADER_LEN..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Validates a fixed 12-byte header, returning `(msg_type, payload_len)`.
@@ -121,11 +138,18 @@ pub(crate) fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), Fra
     Ok((header[5], len))
 }
 
+/// How far a frame's body buffer may run ahead of the bytes received for
+/// it. The length prefix is the peer's claim, so it sizes the buffer only
+/// this far in advance: a header followed by silence pins 1 MiB, not
+/// [`MAX_PAYLOAD`]. Frames up to this size are one allocation.
+pub(crate) const BODY_GROW: usize = 1 << 20;
+
 /// Reads exactly one frame from a byte stream.
 ///
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
 /// the connection), `Err(Frame(Truncated))` on EOF mid-frame, and the
-/// decoded `(msg_type, payload)` otherwise.
+/// decoded `(msg_type, payload)` otherwise. Payload and CRC trailer land
+/// in one pooled buffer, which is returned truncated to the payload.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ReadFrameError> {
     let mut header = [0u8; HEADER_LEN];
     match read_exact_or_eof(r, &mut header)? {
@@ -134,34 +158,26 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ReadFrameE
         Eof::Filled => {}
     }
     let (msg_type, len) = parse_header(&header).map_err(ReadFrameError::Frame)?;
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        Eof::Filled => {}
-        _ => return Err(ReadFrameError::Frame(FrameError::Truncated)),
+    let target = len + 4;
+    let mut body = bytepool::take(target.min(BODY_GROW));
+    let mut filled = 0;
+    loop {
+        match read_exact_or_eof(r, &mut body[filled..])? {
+            Eof::Filled => filled = body.len(),
+            _ => return Err(ReadFrameError::Frame(FrameError::Truncated)),
+        }
+        if filled == target {
+            break;
+        }
+        body.resize(target.min(filled + BODY_GROW), 0);
     }
-    let mut crc_bytes = [0u8; 4];
-    match read_exact_or_eof(r, &mut crc_bytes)? {
-        Eof::Filled => {}
-        _ => return Err(ReadFrameError::Frame(FrameError::Truncated)),
-    }
-    let expected = u32::from_le_bytes(crc_bytes);
-    let got = crc32(&payload);
+    let expected = u32::from_le_bytes(body[len..].try_into().expect("4-byte trailer"));
+    let got = crc32(&body[..len]);
     if expected != got {
         return Err(ReadFrameError::Frame(FrameError::BadCrc { expected, got }));
     }
-    Ok(Some((msg_type, payload)))
-}
-
-/// Writes one frame to a byte stream using `scratch` for assembly.
-pub fn write_frame(
-    w: &mut impl Write,
-    msg_type: u8,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<usize> {
-    encode_frame(msg_type, payload, scratch);
-    w.write_all(scratch)?;
-    Ok(scratch.len())
+    body.truncate(len);
+    Ok(Some((msg_type, body)))
 }
 
 /// Appends `s` as a `u32` length + UTF-8 bytes — what [`Reader::str`]
@@ -291,7 +307,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<Eof> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -355,6 +371,73 @@ mod tests {
             read_frame(&mut cursor),
             Err(ReadFrameError::Frame(FrameError::BadCrc { .. }))
         ));
+    }
+
+    /// Every single-bit flip behind the header of a frame long enough for
+    /// the folded checksum path: `(bit index, corrupted frame)`.
+    pub(crate) fn bit_flips_of_a_2k_frame() -> impl Iterator<Item = (usize, Vec<u8>)> {
+        let payload: Vec<u8> = (0..2048u32).map(|i| (i * 31 + 7) as u8).collect();
+        let mut wire = Vec::new();
+        encode_frame(9, &payload, &mut wire);
+        (HEADER_LEN * 8..wire.len() * 8).map(move |bit| {
+            let mut bad = wire.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            (bit, bad)
+        })
+    }
+
+    #[test]
+    fn every_bit_flip_in_a_2k_frame_fails_crc() {
+        for (bit, bad) in bit_flips_of_a_2k_frame() {
+            match read_frame(&mut bad.as_slice()) {
+                Err(ReadFrameError::Frame(FrameError::BadCrc { .. })) => {}
+                other => panic!("bit {bit}: expected BadCrc, got {other:?}"),
+            }
+        }
+    }
+
+    /// Hands out `data` in odd-sized pieces and records the largest
+    /// buffer the reader ever offered.
+    struct Dribble<'a> {
+        data: &'a [u8],
+        reads: usize,
+        largest_buf: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            const SIZES: [usize; 5] = [1, 7919, 3, 65_537, 1_048_583];
+            self.largest_buf = self.largest_buf.max(buf.len());
+            let n = SIZES[self.reads % SIZES.len()].min(buf.len()).min(self.data.len());
+            self.reads += 1;
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_alone_cannot_reserve_the_length_it_claims() {
+        let mut wire = Vec::new();
+        encode_frame(1, b"", &mut wire);
+        wire.truncate(HEADER_LEN);
+        wire[8..12].copy_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
+        let mut peer = Dribble { data: &wire, reads: 0, largest_buf: 0 };
+        assert!(matches!(read_frame(&mut peer), Err(ReadFrameError::Frame(FrameError::Truncated))));
+        assert!(peer.largest_buf <= BODY_GROW, "offered {} bytes for no data", peer.largest_buf);
+    }
+
+    #[test]
+    fn a_3_mib_frame_in_odd_sized_reads_still_decodes() {
+        let payload: Vec<u8> = (0..3u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect();
+        let mut wire = Vec::new();
+        encode_frame(5, &payload, &mut wire);
+        let mut peer = Dribble { data: &wire, reads: 0, largest_buf: 0 };
+        let (ty, got) = read_frame(&mut peer).unwrap().unwrap();
+        assert_eq!(ty, 5);
+        assert!(got == payload, "payload differs");
+        assert!(peer.largest_buf <= BODY_GROW, "buffer ran {} ahead", peer.largest_buf);
+        assert!(read_frame(&mut peer).unwrap().is_none(), "exactly one frame consumed");
     }
 
     #[test]

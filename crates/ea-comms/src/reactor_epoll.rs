@@ -339,8 +339,6 @@ struct Worker {
     /// events and stale `ConnId`s are detected.
     gens: Vec<u32>,
     wheel: TimerWheel,
-    /// Reusable payload-encode scratch for outbound frames.
-    scratch: Vec<u8>,
     /// Reusable handler outbox.
     outbox: Outbox,
     /// Reusable timer-wheel drain buffer.
@@ -370,7 +368,6 @@ impl Worker {
             free: Vec::new(),
             gens: Vec::new(),
             wheel,
-            scratch: Vec::new(),
             outbox: Outbox::default(),
             due: Vec::new(),
         }
@@ -633,7 +630,7 @@ impl Worker {
             return;
         };
         let conn = self.slab[slot].as_mut().unwrap();
-        conn.enqueue(msg, &mut self.scratch);
+        conn.enqueue(msg);
         let flushed = {
             let _span = ea_trace::span(&FLUSH_SPAN, Category::Comm);
             conn.flush()

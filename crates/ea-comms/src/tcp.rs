@@ -7,9 +7,11 @@
 //! connection — the protocol is strictly request/reply per pipeline, so
 //! Nagle batching only adds round latency.
 
-use crate::frame::{read_frame, write_frame};
+use crate::bytepool;
+use crate::frame::{read_frame, HEADER_LEN};
 use crate::transport::{CommsError, Transport, TransportStats};
 use crate::wire::Message;
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -42,13 +44,19 @@ impl Default for TcpConfig {
     }
 }
 
-/// One framed TCP connection.
+/// One framed TCP connection. It owns no buffer between calls: frames
+/// are built in and received into pooled buffers ([`crate::bytepool`]),
+/// and nothing is read ahead of the frame being returned.
 pub struct TcpTransport {
     stream: TcpStream,
     cfg: TcpConfig,
     stats: TransportStats,
-    scratch: Vec<u8>,
-    payload_scratch: Vec<u8>,
+    /// The read timeout this transport last set on the socket, so an
+    /// unchanged value costs no `setsockopt`. `None` until the first
+    /// receive. The option belongs to the socket, not to this handle: of
+    /// several transports over one `try_clone`d socket, only one may
+    /// receive.
+    read_timeout: Option<Option<Duration>>,
 }
 
 impl TcpTransport {
@@ -84,23 +92,25 @@ impl TcpTransport {
     /// Wraps an accepted stream.
     pub fn from_stream(stream: TcpStream, cfg: TcpConfig) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(TcpTransport {
-            stream,
-            cfg,
-            stats: TransportStats::default(),
-            scratch: Vec::new(),
-            payload_scratch: Vec::new(),
-        })
+        Ok(TcpTransport { stream, cfg, stats: TransportStats::default(), read_timeout: None })
+    }
+
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        if self.read_timeout != Some(timeout) {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = Some(timeout);
+        }
+        Ok(())
     }
 
     fn read_one(&mut self, first_byte_timeout: Option<Duration>) -> Result<Message, CommsError> {
         // Phase 1: wait (bounded or not) for the frame to start. Phase 2:
         // once bytes flow, the whole frame must land within frame_timeout —
         // a mid-frame stall leaves no recoverable boundary.
-        self.stream.set_read_timeout(first_byte_timeout)?;
-        let mut one = [0u8; 1];
+        self.set_read_timeout(first_byte_timeout)?;
+        let mut head = [0u8; HEADER_LEN];
         let n = loop {
-            match std::io::Read::read(&mut self.stream, &mut one) {
+            match self.stream.read(&mut head) {
                 Ok(n) => break n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
@@ -109,42 +119,26 @@ impl TcpTransport {
         if n == 0 {
             return Err(CommsError::Closed);
         }
-        self.stream.set_read_timeout(Some(self.cfg.frame_timeout))?;
-        let mut prefixed = PrefixedRead { first: Some(one[0]), inner: &mut self.stream };
-        let frame = read_frame(&mut prefixed)?;
+        self.set_read_timeout(Some(self.cfg.frame_timeout))?;
+        // The bytes already taken are replayed ahead of the stream; no
+        // more than this one frame is ever consumed.
+        let frame = read_frame(&mut (&head[..n]).chain(&mut self.stream))?;
         let (msg_type, payload) = frame.ok_or(CommsError::Closed)?;
-        let msg = Message::decode_payload(msg_type, &payload)?;
+        let decoded = Message::decode_payload(msg_type, &payload);
+        let bytes = (HEADER_LEN + payload.len() + 4) as u64;
+        bytepool::recycle(payload);
+        let msg = decoded?;
         self.stats.recvs += 1;
-        let bytes = (crate::frame::HEADER_LEN + payload.len() + 4) as u64;
         self.stats.bytes_recvd += bytes;
         crate::trace::counters().on_recv_msg(msg_type, bytes, msg.logical_weight_bytes() as u64);
         Ok(msg)
     }
 }
 
-/// `Read` adapter replaying one already-consumed byte ahead of the stream.
-struct PrefixedRead<'a, R> {
-    first: Option<u8>,
-    inner: &'a mut R,
-}
-
-impl<R: std::io::Read> std::io::Read for PrefixedRead<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let Some(b) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(b);
-                return Ok(0);
-            }
-            buf[0] = b;
-            return Ok(1);
-        }
-        self.inner.read(buf)
-    }
-}
-
 impl Transport for TcpTransport {
     fn send(&mut self, msg: Message) -> Result<(), CommsError> {
-        msg.encode_payload(&mut self.payload_scratch);
+        let mut frame = bytepool::take_empty(HEADER_LEN + msg.payload_len() + 4);
+        msg.encode_frame(&mut frame);
         let ty = msg.wire_type();
         let logical = msg.logical_weight_bytes() as u64;
         // Large payload buffers (pull replies, deltas) are done with once
@@ -156,12 +150,13 @@ impl Transport for TcpTransport {
             Message::SubmitDelta { delta, .. } => ea_tensor::pool::recycle(delta),
             _ => {}
         }
-        let payload = std::mem::take(&mut self.payload_scratch);
-        let written = write_frame(&mut self.stream, ty, &payload, &mut self.scratch)?;
-        self.payload_scratch = payload;
+        let written = frame.len() as u64;
+        let sent = self.stream.write_all(&frame);
+        bytepool::recycle(frame);
+        sent?;
         self.stats.sends += 1;
-        self.stats.bytes_sent += written as u64;
-        crate::trace::counters().on_send_msg(ty, written as u64, logical);
+        self.stats.bytes_sent += written;
+        crate::trace::counters().on_send_msg(ty, written, logical);
         Ok(())
     }
 
@@ -260,7 +255,7 @@ mod tests {
         let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         let mut conn = TcpTransport::from_stream(stream, TcpConfig::default()).unwrap();
-        std::io::Write::write_all(&mut raw, b"garbage bytes, not a frame").unwrap();
+        raw.write_all(b"garbage bytes, not a frame").unwrap();
         assert!(matches!(conn.recv(), Err(CommsError::Frame(_))));
     }
 }

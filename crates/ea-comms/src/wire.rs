@@ -89,7 +89,7 @@
 //! storage. Tags from [`tag::FILE_REF_CHECKPOINT`] up name frames that
 //! live in files (the same header and CRC, never a connection).
 
-use crate::frame::{FrameError, Reader};
+use crate::frame::{encode_frame_with, FrameError, Reader};
 use ea_optim::codec::{decode_f32s_le, encode_f32s_le};
 use ea_optim::Codec;
 
@@ -304,6 +304,18 @@ impl Message {
     /// `out`, which is cleared first.
     pub fn encode_payload(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.append_payload(out);
+    }
+
+    /// Encodes the whole frame (header, payload, CRC) into `out`, which
+    /// is cleared first. The payload is serialized straight into the
+    /// frame; there is no intermediate payload buffer to copy from.
+    pub(crate) fn encode_frame(&self, out: &mut Vec<u8>) {
+        encode_frame_with(self.wire_type(), out, |out| self.append_payload(out));
+    }
+
+    /// Appends the payload to whatever `out` already holds.
+    fn append_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { proto, pipe, codec } => {
                 out.extend_from_slice(&proto.to_le_bytes());
@@ -824,6 +836,29 @@ mod tests {
             let got: String = payload.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(got, hex, "{} encodes differently", msg.name());
             assert_eq!(&Message::decode_payload(ty, &payload).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn frame_encoded_in_place_is_byte_identical_to_encode_frame() {
+        use crate::frame::{crc32, encode_frame, HEADER_LEN, MAGIC, PROTO_VERSION};
+        let mut in_place = vec![0xAA; 7]; // stale contents must not leak in
+        for msg in golden_messages() {
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
+            let mut copied = Vec::new();
+            encode_frame(msg.wire_type(), &payload, &mut copied);
+            msg.encode_frame(&mut in_place);
+            assert_eq!(in_place, copied, "{}", msg.name());
+
+            // And both are the documented layout, spelled out by hand.
+            let mut by_hand = MAGIC.to_vec();
+            by_hand.extend_from_slice(&[PROTO_VERSION, msg.wire_type(), 0, 0]);
+            by_hand.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            assert_eq!(by_hand.len(), HEADER_LEN);
+            by_hand.extend_from_slice(&payload);
+            by_hand.extend_from_slice(&crc32(&payload).to_le_bytes());
+            assert_eq!(in_place, by_hand, "{}", msg.name());
         }
     }
 

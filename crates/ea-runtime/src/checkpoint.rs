@@ -210,6 +210,34 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The bytes commit 3e42a50 — the last with the byte-at-a-time
+    /// checksum — wrote for the snapshot below (its `encode`, run there).
+    /// The 104-byte payload is long enough for the folded CRC path.
+    const WRITTEN_BY_3E42A50: &str = "\
+        45414331048000006800000008070605040302010300000007000000020000000a000000\
+        000080bf000040bf000000bf000080be000000000000803e0000003f0000403f0000803f\
+        0000a03f090000000000803f0000003fabaaaa3e0000803ecdcc4c3eabaa2a3e2549123e\
+        0000003e398ee33d8f287772";
+
+    #[test]
+    fn a_checkpoint_from_before_the_fast_checksum_loads_and_is_rewritten_identically() {
+        let file: Vec<u8> = (0..WRITTEN_BY_3E42A50.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&WRITTEN_BY_3E42A50[i..i + 2], 16).unwrap())
+            .collect();
+        let cp = RefCheckpoint::capture_range(
+            0x0102_0304_0506_0708,
+            vec![
+                (0..10).map(|i| i as f32 * 0.25 - 1.0).collect(),
+                (0..9).map(|i| 1.0 / (i as f32 + 1.0)).collect(),
+            ],
+            3,
+            7,
+        );
+        assert_eq!(RefCheckpoint::decode(&file).unwrap(), cp, "old file loads");
+        assert_eq!(cp.encode().unwrap(), file, "and what is written now, the old binary reads");
+    }
+
     #[test]
     fn every_torn_or_damaged_file_is_rejected() {
         let bytes = small().encode().unwrap();
