@@ -389,7 +389,7 @@ mod tests {
         let mut conn = Conn::new(server, 0);
         let writer = std::thread::spawn(move || {
             let mut rest = wire.as_slice();
-            for size in [1usize, 7919, 3, 65_537, 1_048_583].into_iter().cycle() {
+            for size in frame::tests::ODD_SIZES.into_iter().cycle() {
                 if rest.is_empty() {
                     break;
                 }

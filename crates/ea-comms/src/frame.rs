@@ -396,6 +396,10 @@ pub(crate) mod tests {
         }
     }
 
+    /// Piece sizes for delivering a frame raggedly: tiny, prime, and
+    /// just past a power of two, so pieces straddle every boundary.
+    pub(crate) const ODD_SIZES: [usize; 5] = [1, 7919, 3, 65_537, 1_048_583];
+
     /// Hands out `data` in odd-sized pieces and records the largest
     /// buffer the reader ever offered.
     struct Dribble<'a> {
@@ -406,9 +410,8 @@ pub(crate) mod tests {
 
     impl Read for Dribble<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            const SIZES: [usize; 5] = [1, 7919, 3, 65_537, 1_048_583];
             self.largest_buf = self.largest_buf.max(buf.len());
-            let n = SIZES[self.reads % SIZES.len()].min(buf.len()).min(self.data.len());
+            let n = ODD_SIZES[self.reads % ODD_SIZES.len()].min(buf.len()).min(self.data.len());
             self.reads += 1;
             buf[..n].copy_from_slice(&self.data[..n]);
             self.data = &self.data[n..];

@@ -53,10 +53,9 @@ pub use client::{
     ShardClient,
 };
 pub use clock::{Clock, ClockGuard, OffsetEstimator, Waiter};
-pub use crc::crc32;
 pub use ea_optim::Codec;
 pub use fault::{ChaosConfig, FaultConfig, FaultStats, FaultyTransport};
-pub use frame::{FrameError, PROTO_VERSION};
+pub use frame::{crc32, FrameError, PROTO_VERSION};
 pub use loopback::{loopback_pair, LoopbackTransport};
 pub use reactor::{
     ConnId, DisconnectReason, Outbox, Reactor, ReactorConfig, ReactorHandler, ReactorWaker,

@@ -1359,6 +1359,14 @@ mod tests {
         assert_eq!(server.shards()[0].round_record(0).unwrap().quorum, 1);
         assert_eq!((server.live_count(), server.metrics().evictions), (1, 1));
         drop(c);
+        // The reactor counts the disconnect when it reads the EOF; let it
+        // get there before it is told to stop.
+        for _ in 0..2000 {
+            if server.metrics().disconnects == 1 {
+                break;
+            }
+            clock::sleep(Duration::from_millis(1));
+        }
         reactor.shutdown();
         assert_eq!(server.metrics().disconnects, 1);
     }
